@@ -12,7 +12,8 @@ other.  Word counts use plain Python integers, so they never overflow.
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 
 DEFAULT_STATE_CAP = 1_000_000
 
@@ -176,14 +177,16 @@ def determinize(nfa: Nfa, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
     while i < len(masks):
         mask = masks[i]
         i += 1
+        members = []
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            members.append(succ[low.bit_length() - 1])
         row = []
         for a in range(nsym):
             nm = 0
-            mm = mask
-            while mm:
-                low = mm & -mm
-                mm ^= low
-                nm |= succ[low.bit_length() - 1][a]
+            for r in members:
+                nm |= r[a]
             target = ids.get(nm)
             if target is None:
                 if len(masks) >= state_cap:
@@ -214,41 +217,73 @@ def _reachable(d: Dfa) -> set[int]:
 def minimize(d: Dfa) -> Dfa:
     """Minimal complete DFA for the same language.
 
-    Restricts to reachable states, then runs Hopcroft partition refinement.
-    The result is renumbered breadth-first from the initial state in symbol
-    order, so equal languages built the same way yield identical tables.
+    Restricts to reachable states, numbered breadth-first from the initial
+    state in symbol order, and refines the accept/reject split by Moore
+    rounds: each round numbers the signatures (own class, class of each
+    successor).  Moore can need about as many rounds as there are states,
+    so after ``2 * n.bit_length()`` rounds a Hopcroft loop finishes the
+    refinement.  Classes are numbered in order of their first state, which
+    is the breadth-first order of the quotient, so equal languages built
+    the same way yield identical tables.
     """
     if d.minimal:
         return d
-    nsym = len(d.alphabet)
-    universe = _reachable(d)
-    finals = d.finals & universe
-    nonfinals = universe - finals
+    trans = d.transitions
+    ids = {d.initial: 0}
+    order = [d.initial]
+    for s in order:
+        for t in trans[s]:
+            if t not in ids:
+                ids[t] = len(order)
+                order.append(t)
+    n = len(order)
+    cols = [[ids[trans[s][a]] for s in order] for a in range(len(d.alphabet))]
+    cls = [s in d.finals for s in order]
+    count = len(set(cls))
+    for _ in range(2 * n.bit_length()):
+        # each state is labelled with the least state of its new class
+        sig: dict[tuple, int] = {}
+        keys = zip(cls, *[map(cls.__getitem__, col) for col in cols])
+        cls = list(map(sig.setdefault, keys, range(n)))
+        if len(sig) == count:
+            break
+        count = len(sig)
+    else:
+        cls = _hopcroft(cols, cls)
 
-    pre: list[dict[int, set[int]]] = [defaultdict(set) for _ in range(nsym)]
-    for s in universe:
-        row = d.transitions[s]
-        for a in range(nsym):
-            pre[a][row[a]].add(s)
+    reps = list(dict.fromkeys(cls))
+    newid = {r: i for i, r in enumerate(reps)}
+    rows = tuple(tuple(newid[cls[col[r]]] for col in cols) for r in reps)
+    finals = frozenset(i for i, r in enumerate(reps) if order[r] in d.finals)
+    return Dfa(d.alphabet, rows, 0, finals, minimal=True)
 
-    parts: list[set[int]] = [set(b) for b in (finals, nonfinals) if b]
-    part_of: dict[int, int] = {}
-    for i, p in enumerate(parts):
-        for s in p:
-            part_of[s] = i
+
+def _hopcroft(cols: list[list[int]], cls: list[int]) -> list[int]:
+    """Coarsest refinement of the partition ``cls`` (state -> label) that
+    every column respects; the worklist starts with every block."""
+    n = len(cls)
+    pre: list[list[list[int]]] = []
+    for col in cols:
+        p: list[list[int]] = [[] for _ in range(n)]
+        for s, t in enumerate(col):
+            p[t].append(s)
+        pre.append(p)
+    index = {c: i for i, c in enumerate(dict.fromkeys(cls))}
+    part_of = [index[c] for c in cls]
+    parts: list[set[int]] = [set() for _ in index]
+    for s, i in enumerate(part_of):
+        parts[i].add(s)
     work: deque[int] = deque(range(len(parts)))
     in_work: list[bool] = [True] * len(parts)
 
     while work:
         wi = work.popleft()
         in_work[wi] = False
-        splitter = frozenset(parts[wi])
-        for a in range(nsym):
-            x: set[int] = set()
-            for t in splitter:
-                x |= pre[a].get(t, set())
+        splitter = parts[wi]
+        for pa in pre:
             touched: dict[int, set[int]] = defaultdict(set)
-            for s in x:
+            # a state has one successor per symbol, so no state repeats
+            for s in chain.from_iterable(map(pa.__getitem__, splitter)):
                 touched[part_of[s]].add(s)
             for pi, inter in touched.items():
                 block = parts[pi]
@@ -271,30 +306,8 @@ def minimize(d: Dfa) -> Dfa:
                     work.append(ni)
                     in_work.append(True)
 
-    start_part = part_of[d.initial]
-    order = [start_part]
-    newid = {start_part: 0}
-    qi = 0
-    while qi < len(order):
-        pi = order[qi]
-        qi += 1
-        rep = next(iter(parts[pi]))
-        for a in range(nsym):
-            ti = part_of[d.transitions[rep][a]]
-            if ti not in newid:
-                newid[ti] = len(order)
-                order.append(ti)
-    assert len(order) == len(parts), "minimization lost a class"
-    rows = []
-    for pi in order:
-        rep = next(iter(parts[pi]))
-        rows.append(
-            tuple(newid[part_of[d.transitions[rep][a]]] for a in range(nsym))
-        )
-    new_finals = frozenset(
-        newid[pi] for pi in range(len(parts)) if parts[pi] & finals
-    )
-    return Dfa(d.alphabet, tuple(rows), 0, new_finals, minimal=True)
+    low = [min(p) for p in parts]
+    return [low[i] for i in part_of]
 
 
 def complement(d: Dfa) -> Dfa:

@@ -103,15 +103,18 @@ def _read_input(path: str) -> str:
 
 
 def _resolve_cap(args) -> int:
-    if getattr(args, "state_cap", None):
-        return args.state_cap
-    env = os.environ.get("FROBWORD_STATE_CAP")
-    if env:
+    source, cap = "--state-cap", args.state_cap
+    if cap is None:
+        source, env = "FROBWORD_STATE_CAP", os.environ.get("FROBWORD_STATE_CAP")
+        if not env:
+            return DEFAULT_STATE_CAP
         try:
-            return int(env)
+            cap = int(env)
         except ValueError:
             raise WordSetFileError("FROBWORD_STATE_CAP is not an integer: %r" % env)
-    return DEFAULT_STATE_CAP
+    if cap <= 0:
+        raise WordSetFileError("%s must be a positive integer, got %d" % (source, cap))
+    return cap
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from frobword.automata import (
     CapExceeded,
     Dfa,
     Nfa,
+    _check_alphabet,
     complement,
     count_words,
     determinize,
@@ -54,8 +55,7 @@ class WordSet:
     words: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if len(set(self.alphabet)) != len(self.alphabet) or not self.alphabet:
-            raise ValueError("alphabet must be distinct characters")
+        _check_alphabet(self.alphabet)
         if not self.words:
             raise ValueError("at least one word is required")
         letters = set(self.alphabet)

@@ -17,6 +17,7 @@ from math import gcd
 
 from frobword.automata import (
     CapExceeded,
+    Dfa,
     complement,
     count_words,
     determinize,
@@ -452,6 +453,14 @@ def suite_chain_cofinite(count: int = 100, seed: int = DEFAULT_SEED) -> SuiteRep
     return report
 
 
+def _accepts(d: Dfa, sym: dict[str, int], word: str) -> bool:
+    """DFA membership with the symbol map built once by the caller."""
+    st = d.initial
+    for c in word:
+        st = d.transitions[st][sym[c]]
+    return st in d.finals
+
+
 def suite_bounds(count: int = 200, seed: int = DEFAULT_SEED, deep: bool = True) -> SuiteReport:
     """Corpus-wide structural laws.
 
@@ -527,25 +536,18 @@ def suite_bounds(count: int = 200, seed: int = DEFAULT_SEED, deep: bool = True) 
                         "extension condition %s" % (s.words,), True, False, False
                     )
         if deep and s.alphabet in deep_words:
-            sym = {c: i for i, c in enumerate(d.alphabet)}
+            sym = {c: i for i, c in enumerate(s.alphabet)}
             idx = _length_index(s.words)
             for w in deep_words[s.alphabet]:
-                st = d.initial
-                for c in w:
-                    st = d.transitions[st][sym[c]]
-                if (st in d.finals) != _member_star_indexed(idx, w):
+                if _accepts(d, sym, w) != _member_star_indexed(idx, w):
                     star_mismatch += 1
                     report.add("star oracle %s word %s" % (s.words, w), "agree", "differ", False)
                     break
             order = list(s.words)
             rng.shuffle(order)
             cd = minimal_chain_dfa(order, s.alphabet)
-            csym = {c: i for i, c in enumerate(cd.alphabet)}
             for w in deep_words[s.alphabet]:
-                st = cd.initial
-                for c in w:
-                    st = cd.transitions[st][csym[c]]
-                if (st in cd.finals) != member_chain(order, w):
+                if _accepts(cd, sym, w) != member_chain(order, w):
                     chain_mismatch += 1
                     report.add("chain oracle %s word %s" % (order, w), "agree", "differ", False)
                     break

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from frobword import automata
 from frobword.automata import (
     CapExceeded,
     Dfa,
@@ -23,6 +24,7 @@ from frobword.automata import (
     state_complexity,
     to_dot,
 )
+from frobword.starlang import WordSet, window_star_dfa
 from oracles import moore_state_count, words_upto
 
 
@@ -180,3 +182,62 @@ def test_minimize_matches_refinement_oracle(d):
 def test_minimize_really_is_minimal(d):
     m = minimize(d)
     assert m.state_count == moore_state_count(m.transitions, m.initial, m.finals)
+
+
+@pytest.mark.parametrize("a", [30, 60])
+def test_minimize_deep_unary_star_uses_hopcroft_finish(a, monkeypatch):
+    # {0^a, 0^(a+1)}* misses 0^g with g = a(a+1) - 2a - 1; telling the
+    # states apart takes about g Moore rounds, far past the round budget
+    finishes = []
+    hopcroft = automata._hopcroft
+
+    def counted(cols, cls):
+        finishes.append(len(cls))
+        return hopcroft(cols, cls)
+
+    monkeypatch.setattr(automata, "_hopcroft", counted)
+    d = window_star_dfa(WordSet.of("0", ["0" * a, "0" * (a + 1)]))
+    m = minimize(d)
+    assert finishes == [d.state_count]
+    g = a * (a + 1) - 2 * a - 1
+    assert m.state_count == moore_state_count(d.transitions, d.initial, d.finals)
+    assert m.state_count == g + 2
+    assert equivalent(d, m)
+
+
+@st.composite
+def deep_dfas(draw):
+    """Random DFAs whose symbol 0 walks a long path; finals only near its
+    end, so states are told apart only by long words."""
+    n = draw(st.integers(min_value=2, max_value=60))
+    trans = tuple(
+        (
+            i + 1 if i + 1 < n else draw(st.integers(0, n - 1)),
+            draw(st.integers(0, n - 1)) if draw(st.booleans()) else i,
+        )
+        for i in range(n)
+    )
+    finals = frozenset(draw(st.sets(st.sampled_from([n - 2, n - 1]), min_size=1)))
+    return Dfa("01", trans, 0, finals)
+
+
+@given(deep_dfas())
+def test_minimize_long_distinguishing_chains(d):
+    m = minimize(d)
+    assert m.state_count == moore_state_count(d.transitions, d.initial, d.finals)
+    assert m.state_count == moore_state_count(m.transitions, m.initial, m.finals)
+    assert equivalent(d, m)
+
+
+@given(random_dfas(), st.randoms(use_true_random=False))
+def test_minimize_numbering_ignores_state_labels(d, rnd):
+    perm = list(range(d.state_count))
+    rnd.shuffle(perm)
+    trans = [None] * d.state_count
+    for s, row in enumerate(d.transitions):
+        trans[perm[s]] = tuple(perm[t] for t in row)
+    relabelled = Dfa(
+        d.alphabet, tuple(trans), perm[d.initial], frozenset(perm[s] for s in d.finals)
+    )
+    m, r = minimize(d), minimize(relabelled)
+    assert (r.transitions, r.finals, r.initial) == (m.transitions, m.finals, m.initial)

@@ -166,6 +166,22 @@ def test_measure_state_cap_env_and_flag(tmp_path, capsys, monkeypatch):
     assert code == EXIT_BAD_INPUT
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_measure_nonpositive_state_cap_is_bad_input(tmp_path, capsys, monkeypatch, cap):
+    f = write_ws(tmp_path, "u.ws", "alphabet: 0\n00\n000\n")
+    monkeypatch.delenv("FROBWORD_STATE_CAP", raising=False)
+    code, out, err = run(capsys, "measure", f, "--no-timing", "--state-cap", cap)
+    assert (code, out) == (EXIT_BAD_INPUT, "")
+    assert "--state-cap" in err
+    monkeypatch.setenv("FROBWORD_STATE_CAP", cap)
+    code, out, err = run(capsys, "measure", f, "--no-timing")
+    assert (code, out) == (EXIT_BAD_INPUT, "")
+    assert "FROBWORD_STATE_CAP" in err
+    # the flag still overrides a bad variable
+    code, out, _ = run(capsys, "measure", f, "--no-timing", "--state-cap", "10")
+    assert code == EXIT_OK and json.loads(out)["S"] == 3
+
+
 def test_measure_dot_debug_flag(tmp_path, capsys):
     f = write_ws(tmp_path, "u.ws", "alphabet: 0\n00\n000\n")
     prefix = str(tmp_path / "g")

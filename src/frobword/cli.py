@@ -96,10 +96,13 @@ def format_word_set_file(alphabet: str, words) -> str:
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, encoding="ascii") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, encoding="ascii") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        raise WordSetFileError("%s: not an ASCII text file" % path)
 
 
 def _resolve_cap(args) -> int:
@@ -249,6 +252,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.count < 1:
+        raise WordSetFileError("--count must be a positive integer, got %d" % args.count)
     if args.suite == "unary":
         report = verify_mod.suite_unary(args.count, args.seed)
     elif args.suite == "pairs":

@@ -183,28 +183,47 @@ def window_star_dfa(s: WordSet, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
     new position starting from a previously marked split point.  The input
     so far is in the closure iff 0 is marked, so those states accept.
 
+    A state is coded as the integer ``recent_id << (window + 1) | marks``,
+    with mark ``a`` as bit ``a`` and ``recent_id`` numbering the distinct
+    recent windows as they are reached.  The moves of each window are
+    worked out once, per symbol: the next window's code, ``hits`` (the
+    offsets from which a set word ends at the new symbol) and ``keep`` (the
+    shifted marks still within reach), so a transition is a few bit
+    operations and one dict lookup.
+
     Only reachable states are built, breadth-first in symbol order, and the
     automaton is complete by construction.  Reachable states never exceed
     ``window_state_bound(len(alphabet), max_word_length)``.
     """
     words = frozenset(s.words)
     window = s.max_word_length - 1
-    start = ("", (0,))
-    ids: dict[tuple[str, tuple[int, ...]], int] = {start: 0}
-    states: list[tuple[str, tuple[int, ...]]] = [start]
+    shift = window + 1
+    low = (1 << shift) - 1
+    recent_ids: dict[str, int] = {"": 0}
+    recents = [""]
+    moves: list[list[tuple[int, int, int]]] = []
+    ids: dict[int, int] = {1: 0}
+    states = [1]
     rows: list[tuple[int, ...]] = []
-    i = 0
-    while i < len(states):
-        recent, marks = states[i]
-        i += 1
+    for code in states:
+        rid = code >> shift
+        while len(moves) <= rid:
+            recent = recents[len(moves)]
+            per_symbol = []
+            for c in s.alphabet:
+                ext = recent + c
+                nrecent = ext if len(ext) <= window else ext[1:]
+                if nrecent not in recent_ids:
+                    recent_ids[nrecent] = len(recents)
+                    recents.append(nrecent)
+                hits = sum(1 << a for a in range(len(ext)) if ext[-(a + 1):] in words)
+                keep = (1 << (len(nrecent) + 1)) - 2
+                per_symbol.append((recent_ids[nrecent] << shift, keep, hits))
+            moves.append(per_symbol)
+        marks = code & low
         row = []
-        for c in s.alphabet:
-            ext = recent + c
-            hit = any(ext[-(a + 1):] in words for a in marks)
-            nrecent = ext if len(ext) <= window else ext[1:]
-            shifted = tuple(a + 1 for a in marks if a + 1 <= len(nrecent))
-            nmarks = ((0,) + shifted) if hit else shifted
-            state = (nrecent, nmarks)
+        for base, keep, hits in moves[rid]:
+            state = base | ((marks << 1) & keep) | (1 if marks & hits else 0)
             target = ids.get(state)
             if target is None:
                 if len(states) >= state_cap:
@@ -214,7 +233,7 @@ def window_star_dfa(s: WordSet, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
                 states.append(state)
             row.append(target)
         rows.append(tuple(row))
-    finals = frozenset(j for j, (_, marks) in enumerate(states) if marks and marks[0] == 0)
+    finals = frozenset(j for j, code in enumerate(states) if code & 1)
     return Dfa(s.alphabet, tuple(rows), 0, finals)
 
 

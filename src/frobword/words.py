@@ -65,41 +65,45 @@ def fine_wilf_agreement(w: str, x: str) -> int | float:
     terminates no matter what.
 
     States are pairs of block residuals, at most ``(len(w) + len(x))**2``
-    of them, memoized.
+    of them, memoized.  The depth-first search keeps its own stack, so
+    long blocks cannot exhaust the interpreter's recursion limit.
     """
     _require_nonempty(w, x)
     if w + x == x + w:
         return INFINITE
     words = (w, x)
     cap = len(w) + len(x)
-    pending = object()
-    memo: dict[tuple[int, int, int, int], object] = {}
-
-    def rest(u: int, i: int) -> list[tuple[int, int]]:
-        if i < len(words[u]):
-            return [(u, i)]
-        return [(0, 0), (1, 0)]
-
-    def agree(u: int, i: int, v: int, j: int) -> int:
-        key = (u, i, v, j)
+    restart = ((0, 0), (1, 0))
+    memo: dict[tuple[int, int, int, int], int] = {}  # -1 while being worked out
+    # frames are [state, successors not yet tried (last first), best so far]
+    stack: list[list] = []
+    key = (0, 0, 1, 0)
+    while True:
         got = memo.get(key)
-        if got is pending:
-            return cap  # a loop would mean unbounded agreement
-        if got is not None:
-            return got  # type: ignore[return-value]
-        memo[key] = pending
-        if words[u][i] != words[v][j]:
-            memo[key] = 0
-            return 0
-        value = 0
-        for a, b in rest(u, i + 1):
-            for c, e in rest(v, j + 1):
-                value = max(value, agree(a, b, c, e))
-        value = min(cap, 1 + value)
-        memo[key] = value
-        return value
-
-    return agree(0, 0, 1, 0)
+        if got is None:
+            u, i, v, j = key
+            if words[u][i] != words[v][j]:
+                got = memo[key] = 0
+            else:
+                memo[key] = -1
+                left = ((u, i + 1),) if i + 1 < len(words[u]) else restart
+                right = ((v, j + 1),) if j + 1 < len(words[v]) else restart
+                nexts = [(a, b, c, e) for a, b in left for c, e in right]
+                nexts.reverse()
+                stack.append([key, nexts, 0])
+        elif got < 0:
+            got = cap  # a loop would mean unbounded agreement
+        while stack:
+            frame = stack[-1]
+            if got is not None and got > frame[2]:
+                frame[2] = got
+            if frame[1]:
+                key = frame[1].pop()
+                break
+            stack.pop()
+            got = memo[frame[0]] = min(cap, 1 + frame[2])
+        else:
+            return got
 
 
 def prefix_suffix_condition(words: Iterable[str]) -> bool:

@@ -138,3 +138,36 @@ def moore_state_count(transitions, initial, finals):
         label = {s: relabel[sig[s]] for s in states}
         if len(uniq) == before:
             return len(uniq)
+
+
+def window_star_table(alphabet, words):
+    """Sliding-window DFA for the star closure of ``words``, states as
+    ``(recent, marks)`` pairs: ``recent`` is the last input symbols, at
+    most one fewer than the longest word, and ``marks`` the ascending
+    offsets back from the current position where a split into words can
+    end.  States are numbered breadth-first in symbol order from
+    ``("", (0,))``.  Returns ``(rows, initial, finals)``."""
+    words = frozenset(words)
+    window = max(len(w) for w in words) - 1
+    start = ("", (0,))
+    ids = {start: 0}
+    states = [start]
+    rows = []
+    i = 0
+    while i < len(states):
+        recent, marks = states[i]
+        i += 1
+        row = []
+        for c in alphabet:
+            ext = recent + c
+            hit = any(ext[-(a + 1):] in words for a in marks)
+            nrecent = ext if len(ext) <= window else ext[1:]
+            shifted = tuple(a + 1 for a in marks if a + 1 <= len(nrecent))
+            state = (nrecent, ((0,) + shifted) if hit else shifted)
+            if state not in ids:
+                ids[state] = len(states)
+                states.append(state)
+            row.append(ids[state])
+        rows.append(tuple(row))
+    finals = frozenset(j for j, (_, marks) in enumerate(states) if marks[:1] == (0,))
+    return tuple(rows), 0, finals

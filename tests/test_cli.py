@@ -140,6 +140,18 @@ def test_measure_bad_file(tmp_path, capsys):
     assert code == EXIT_BAD_INPUT
 
 
+def test_measure_non_ascii_file_is_bad_input(tmp_path, capsys):
+    p = tmp_path / "accent.ws"
+    p.write_bytes("alphabet: \u00e9a\na\n".encode("utf-8"))
+    for command in ("measure", "oracle"):
+        argv = [command, str(p)] + (["a"] if command == "oracle" else [])
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_BAD_INPUT
+        assert out == ""
+        assert "accent.ws" in err and "ASCII" in err
+        assert len(err.strip().splitlines()) == 1
+
+
 def test_measure_stdin(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("alphabet: 01\n0\n1\n"))
     code, out, _ = run(capsys, "measure", "-", "--no-timing")
@@ -252,6 +264,15 @@ def test_verify_small_suites(capsys):
         code, out, _ = run(capsys, *args)
         assert code == EXIT_OK, args
         assert out.startswith("instance\t")
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+@pytest.mark.parametrize("suite", ["unary", "chain-cofinite", "bounds"])
+def test_verify_nonpositive_count_is_bad_input(capsys, suite, count):
+    code, out, err = run(capsys, "verify", suite, "--count", count)
+    assert code == EXIT_BAD_INPUT
+    assert out == ""
+    assert "--count" in err
 
 
 # ---------------------------------------------------------------------------

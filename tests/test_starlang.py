@@ -2,12 +2,13 @@
 chain of stars, and the combined measure report."""
 
 import warnings
+from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from frobword.automata import determinize, equivalent, is_cofinite, minimize
+from frobword.automata import CapExceeded, determinize, equivalent, is_cofinite, minimize
 from frobword.starlang import (
     BudgetExceeded,
     WordSet,
@@ -23,7 +24,7 @@ from frobword.starlang import (
     window_star_dfa,
     window_state_bound,
 )
-from oracles import chain_upto, closure_upto, words_upto
+from oracles import chain_upto, closure_upto, window_star_table, words_upto
 
 small_sets = st.lists(
     st.text(alphabet="01", min_size=1, max_size=3), min_size=1, max_size=4
@@ -101,6 +102,30 @@ def test_trie_nfa_size_bound_and_language():
 @given(small_sets)
 def test_window_route_equals_trie_route(s):
     assert equivalent(window_star_dfa(s), determinize(trie_star_nfa(s)))
+
+
+@st.composite
+def window_sets(draw):
+    alphabet = "012"[: draw(st.integers(1, 3))]
+    words = draw(
+        st.lists(st.text(alphabet=alphabet, min_size=1, max_size=6), min_size=1, max_size=5)
+    )
+    return WordSet.of(alphabet, words)
+
+
+@given(window_sets())
+def test_window_dfa_matches_reference_table(s):
+    d = window_star_dfa(s)
+    assert (d.transitions, d.initial, d.finals) == window_star_table(s.alphabet, s.words)
+
+
+@pytest.mark.parametrize("words", [["0", "01", "11"], ["00", "000"], ["01", "10", "111"]])
+def test_window_dfa_cap_is_a_state_count(words):
+    s = WordSet.of("01", words)
+    n = window_star_dfa(s).state_count
+    assert window_star_dfa(s, state_cap=n).state_count == n
+    with pytest.raises(CapExceeded):
+        window_star_dfa(s, state_cap=n - 1)
 
 
 @given(small_sets)
@@ -204,6 +229,30 @@ def test_two_length_cofinite_decision():
     # removing a short word destroys the property
     rest = WordSet.of("01", [w for w in fam.words.words if w != "00"])
     assert two_length_cofinite(rest, 2, 3) is False
+
+
+@st.composite
+def two_length_sets(draw):
+    m, n, alphabet = draw(
+        st.sampled_from([(2, 3, "01"), (3, 4, "01"), (3, 5, "01"), (2, 3, "012")])
+    )
+
+    def some(length):
+        # a few words of the length, or all but a few: a co-finite closure
+        # needs every short word and most long ones
+        every = ["".join(p) for p in product(alphabet, repeat=length)]
+        few = draw(st.lists(st.sampled_from(every), unique=True, max_size=4))
+        return [w for w in every if w not in few] if draw(st.booleans()) else few
+
+    kept = some(m) + some(n)
+    assume(kept)
+    return WordSet.of(alphabet, kept), m, n
+
+
+@given(two_length_sets())
+def test_two_length_cofinite_matches_automaton(case):
+    s, m, n = case
+    assert two_length_cofinite(s, m, n) == is_cofinite(minimal_star_dfa(s))
 
 
 def test_two_length_cofinite_budget():

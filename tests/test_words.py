@@ -116,3 +116,9 @@ def test_pair_concat_predictions():
     assert predicted_pair_concat_sc("0", "1") == (3, UPPER_BOUND)
     assert predicted_pair_concat_sc("01", "011") == (8, UPPER_BOUND)
     assert predicted_pair_concat_sc("00", "0000") == (3, EXACT)
+
+
+def test_agreement_long_blocks_do_not_recurse():
+    # the streams agree on 0^1500 and then differ, far past the depth at
+    # which a recursive search would exhaust the interpreter's stack
+    assert fine_wilf_agreement("0" * 1500 + "1", "0" * 1501) == 1500

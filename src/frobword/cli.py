@@ -11,9 +11,10 @@ words are allowed and their file order is kept (the order matters for the
 chain of stars; the star closure ignores it).
 
 Exit codes: 0 success, 1 a verified invariant was violated, 2 a resource
-cap was hit, 3 bad input.  The environment variable ``FROBWORD_STATE_CAP``
-overrides the determinization cap; the ``--state-cap`` flag overrides
-both.
+cap was hit (``CapExceeded``), 3 bad input (usage errors, ``OSError``,
+``ValueError``); the commands raise and ``main`` maps.  The environment
+variable ``FROBWORD_STATE_CAP`` overrides the determinization cap; the
+``--state-cap`` flag overrides both.
 """
 
 from __future__ import annotations
@@ -30,15 +31,7 @@ from frobword.families import (
     star_blowup_family,
     two_length_family,
 )
-from frobword.starlang import (
-    PreconditionViolated,
-    WordSet,
-    measure_all,
-    member_chain,
-    member_star,
-    minimal_chain_dfa,
-    minimal_star_dfa,
-)
+from frobword.starlang import WordSet, measure_all, member_chain, member_star
 from frobword import verify as verify_mod
 
 EXIT_OK = 0
@@ -96,13 +89,18 @@ def format_word_set_file(alphabet: str, words) -> str:
 
 
 def _read_input(path: str) -> str:
+    """The text of the file, or of standard input for ``-``; either must be ASCII."""
     try:
         if path == "-":
-            return sys.stdin.read()
-        with open(path, encoding="ascii") as fh:
-            return fh.read()
+            text = sys.stdin.read()
+        else:
+            with open(path, encoding="ascii") as fh:
+                text = fh.read()
+        if text.isascii():
+            return text
     except UnicodeDecodeError:
-        raise WordSetFileError("%s: not an ASCII text file" % path)
+        pass
+    raise WordSetFileError("%s: not an ASCII text file" % path)
 
 
 def _resolve_cap(args) -> int:
@@ -114,9 +112,9 @@ def _resolve_cap(args) -> int:
         try:
             cap = int(env)
         except ValueError:
-            raise WordSetFileError("FROBWORD_STATE_CAP is not an integer: %r" % env)
+            raise ValueError("FROBWORD_STATE_CAP is not an integer: %r" % env)
     if cap <= 0:
-        raise WordSetFileError("%s must be a positive integer, got %d" % (source, cap))
+        raise ValueError("%s must be a positive integer, got %d" % (source, cap))
     return cap
 
 
@@ -178,15 +176,7 @@ def _report_dict(label, s, report, want_star, want_chain, wall_ms):
 
 
 def cmd_measure(args) -> int:
-    try:
-        alphabet, file_words = parse_word_set_file(_read_input(args.file), args.file)
-    except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except WordSetFileError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_BAD_INPUT
-
+    alphabet, file_words = parse_word_set_file(_read_input(args.file), args.file)
     s = WordSet.of(alphabet, file_words)
     want_star = args.star or not args.chain
     want_chain = args.chain or not args.star
@@ -196,25 +186,13 @@ def cmd_measure(args) -> int:
 
     cap = _resolve_cap(args)
     t0 = time.perf_counter()
-    try:
-        report = measure_all(
-            s, xs_order, star=want_star, chain=want_chain, state_cap=cap
-        )
-    except CapExceeded as exc:
-        print("error: state cap exceeded: %s" % exc, file=sys.stderr)
-        return EXIT_CAP
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_BAD_INPUT
+    report = measure_all(s, xs_order, star=want_star, chain=want_chain, state_cap=cap)
     wall_ms = None if args.no_timing else round((time.perf_counter() - t0) * 1000, 3)
 
-    if args.dot:
-        if want_star:
-            with open(args.dot + ".star.dot", "w", encoding="ascii") as fh:
-                fh.write(to_dot(minimal_star_dfa(s, cap), "star"))
-        if want_chain:
-            with open(args.dot + ".chain.dot", "w", encoding="ascii") as fh:
-                fh.write(to_dot(minimal_chain_dfa(xs_order, alphabet, cap), "chain"))
+    for side, dfa in (("star", report.star_dfa), ("chain", report.chain_dfa)):
+        if args.dot and dfa is not None:
+            with open("%s.%s.dot" % (args.dot, side), "w", encoding="ascii") as fh:
+                fh.write(to_dot(dfa, side))
 
     rep = _report_dict(args.file, s, report, want_star, want_chain, wall_ms)
     if args.pretty:
@@ -229,21 +207,16 @@ def cmd_measure(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    try:
+    if args.family == "chain":
+        words, _repeats = chain_blowup_family(args.t)
+        alphabet = "".join(sorted(set("".join(words))))
+    else:
         if args.family == "st":
-            fam = star_blowup_family(args.t)
-            out = format_word_set_file(fam.words.alphabet, fam.words.words)
-        elif args.family == "tmn":
-            fam = two_length_family(args.m, args.n, args.alphabet)
-            out = format_word_set_file(fam.words.alphabet, fam.words.words)
+            ws = star_blowup_family(args.t).words
         else:
-            words, _repeats = chain_blowup_family(args.t)
-            alphabet = "".join(sorted(set("".join(words))))
-            out = format_word_set_file(alphabet, words)
-    except (PreconditionViolated, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_BAD_INPUT
-    sys.stdout.write(out)
+            ws = two_length_family(args.m, args.n, args.alphabet).words
+        alphabet, words = ws.alphabet, ws.words
+    sys.stdout.write(format_word_set_file(alphabet, words))
     return EXIT_OK
 
 
@@ -251,21 +224,31 @@ def cmd_gen(args) -> int:
 # verify
 
 
+# suite -> (function, the parameters its flags set).  Verify flags default
+# to None and only the given ones are passed, so each default lives once, in
+# the suite's signature.  A flag the suite does not read is bad input, except
+# ``--seed``, the replay key every suite accepts.  ``--shallow`` sets ``deep``.
+SUITES = {
+    "unary": (verify_mod.suite_unary, ("count", "seed")),
+    "pairs": (verify_mod.suite_pairs, ("max_len", "agreement_total")),
+    "st": (verify_mod.suite_st, ("t_max",)),
+    "tmn": (verify_mod.suite_tmn, ("m", "n", "alphabet")),
+    "chain-cofinite": (verify_mod.suite_chain_cofinite, ("count", "seed")),
+    "bounds": (verify_mod.suite_bounds, ("count", "seed", "deep")),
+}
+
+
 def cmd_verify(args) -> int:
-    if args.count < 1:
-        raise WordSetFileError("--count must be a positive integer, got %d" % args.count)
-    if args.suite == "unary":
-        report = verify_mod.suite_unary(args.count, args.seed)
-    elif args.suite == "pairs":
-        report = verify_mod.suite_pairs(args.max_len, args.agreement_total)
-    elif args.suite == "st":
-        report = verify_mod.suite_st(args.t_max)
-    elif args.suite == "tmn":
-        report = verify_mod.suite_tmn(args.m, args.n, args.alphabet)
-    elif args.suite == "chain-cofinite":
-        report = verify_mod.suite_chain_cofinite(args.count, args.seed)
-    else:
-        report = verify_mod.suite_bounds(args.count, args.seed, deep=not args.shallow)
+    suite, reads = SUITES[args.suite]
+    skip = ("command", "suite", "func")
+    given = {k: v for k, v in vars(args).items() if v is not None and k not in skip}
+    stray = sorted(given.keys() - set(reads) - {"seed"})
+    if stray:
+        flag = "--shallow" if stray[0] == "deep" else "--" + stray[0].replace("_", "-")
+        raise ValueError("verify %s does not read %s" % (args.suite, flag))
+    if given.get("count", 1) < 1:
+        raise ValueError("--count must be a positive integer, got %d" % given["count"])
+    report = suite(**{k: v for k, v in given.items() if k in reads})
 
     print("instance\tpredicted\tactual\tstatus")
     for row in report.rows:
@@ -289,21 +272,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    try:
-        alphabet, file_words = parse_word_set_file(_read_input(args.file), args.file)
-    except (OSError, WordSetFileError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_BAD_INPUT
+    alphabet, file_words = parse_word_set_file(_read_input(args.file), args.file)
     s = WordSet.of(alphabet, file_words)
     for word in args.words:
         stray = sorted(set(word) - set(alphabet))
         if stray:
-            print(
-                "error: word %r uses characters %s not in alphabet %r"
-                % (word, ",".join(stray), alphabet),
-                file=sys.stderr,
+            raise ValueError(
+                "word %r uses characters %s not in alphabet %r"
+                % (word, ",".join(stray), alphabet)
             )
-            return EXIT_BAD_INPUT
         if args.chain:
             inside = member_chain(file_words, word)
         else:
@@ -316,8 +293,16 @@ def cmd_oracle(args) -> int:
 # wiring
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are bad input (exit 3), not argparse's 2; subparsers inherit."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_BAD_INPUT, "%s: error: %s\n" % (self.prog, message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="frobword",
         description="Measures, families and verification for star closures of finite word sets.",
     )
@@ -340,38 +325,35 @@ def build_parser() -> argparse.ArgumentParser:
     m.set_defaults(func=cmd_measure)
 
     g = sub.add_parser("gen", help="print a built-in family as a word-set file")
+    g.set_defaults(func=cmd_gen)
     gsub = g.add_subparsers(dest="family", required=True)
     gst = gsub.add_parser("st", help="the star-closure blowup family")
     gst.add_argument("--t", type=int, required=True)
-    gst.set_defaults(func=cmd_gen)
     gt = gsub.add_parser("tmn", help="the two-length family")
     gt.add_argument("--m", type=int, required=True)
     gt.add_argument("--n", type=int, required=True)
     gt.add_argument("--alphabet", default="01")
-    gt.set_defaults(func=cmd_gen)
     gc = gsub.add_parser("chain", help="the chain-of-stars blowup family")
     gc.add_argument("--t", type=int, required=True)
-    gc.set_defaults(func=cmd_gen)
 
     v = sub.add_parser("verify", help="run a verification suite, emit a TSV table")
+    v.add_argument("suite", choices=list(SUITES))
+    v.add_argument("--seed", type=int, help="replay key, accepted by every suite")
+    v.add_argument("--count", type=int, help="unary, chain-cofinite, bounds: instances")
+    v.add_argument("--max-len", type=int, help="pairs: maximum word length")
     v.add_argument(
-        "suite", choices=["unary", "pairs", "st", "tmn", "chain-cofinite", "bounds"]
+        "--agreement-total", type=int, help="pairs: maximum combined length for agreement checks"
     )
-    v.add_argument("--seed", type=int, default=verify_mod.DEFAULT_SEED)
-    v.add_argument("--count", type=int, default=None)
-    v.add_argument("--max-len", type=int, default=6, help="pairs: maximum word length")
+    v.add_argument("--t-max", type=int, help="st: largest family index")
+    v.add_argument("--m", type=int, help="tmn: short length")
+    v.add_argument("--n", type=int, help="tmn: long length")
+    v.add_argument("--alphabet", help="tmn: alphabet")
     v.add_argument(
-        "--agreement-total",
-        type=int,
-        default=14,
-        help="pairs: maximum combined length for agreement checks",
-    )
-    v.add_argument("--t-max", type=int, default=5, help="st: largest family index")
-    v.add_argument("--m", type=int, default=3, help="tmn: short length")
-    v.add_argument("--n", type=int, default=5, help="tmn: long length")
-    v.add_argument("--alphabet", default="01", help="tmn: alphabet")
-    v.add_argument(
-        "--shallow", action="store_true", help="bounds: skip the word-by-word concordance"
+        "--shallow",
+        dest="deep",
+        action="store_const",
+        const=False,
+        help="bounds: skip the word-by-word concordance",
     )
     v.set_defaults(func=cmd_verify)
 
@@ -389,16 +371,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "verify" and args.count is None:
-        args.count = 100 if args.suite == "chain-cofinite" else 200
-        if args.suite == "unary":
-            args.count = 50
     try:
         return args.func(args)
     except CapExceeded as exc:
         print("error: state cap exceeded: %s" % exc, file=sys.stderr)
         return EXIT_CAP
-    except WordSetFileError as exc:
+    except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -13,7 +13,7 @@ the answers came from.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from math import gcd
 from typing import Iterable, Sequence
@@ -307,6 +307,8 @@ class MeasureReport:
     only finitely many words, and the longest one additionally requires it
     to miss at least one (``full_language`` distinguishes the two).  The
     chain fields mirror this for the ordered concatenation of stars.
+    ``star_dfa`` and ``chain_dfa`` are the minimal DFAs the measures were
+    read from; they take no part in equality.
     """
 
     cofinite_star: bool | None
@@ -322,6 +324,8 @@ class MeasureReport:
     chain_longest_omitted_word: str | None
     nfa_size_bound: int
     window_dfa_states: int | None
+    star_dfa: Dfa | None = field(default=None, compare=False, repr=False)
+    chain_dfa: Dfa | None = field(default=None, compare=False, repr=False)
 
 
 def measure_all(
@@ -351,6 +355,7 @@ def measure_all(
     full = None
     star_sc = None
     window_states = None
+    star_min = None
     if star:
         window = window_star_dfa(s, state_cap)
         star_min = minimize(window)
@@ -373,6 +378,7 @@ def measure_all(
     chain_longest = None
     chain_wit = None
     chain_full = None
+    chain_min = None
     if chain:
         chain_min = minimal_chain_dfa(xs_order, s.alphabet, state_cap)
         chain_sc = chain_min.state_count
@@ -400,6 +406,8 @@ def measure_all(
         chain_longest_omitted_word=chain_wit,
         nfa_size_bound=s.total_symbols - s.word_count + 1,
         window_dfa_states=window_states,
+        star_dfa=star_min,
+        chain_dfa=chain_min,
     )
 
 

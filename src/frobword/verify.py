@@ -40,6 +40,7 @@ from frobword.families import (
 from frobword.numeric import frobenius_g
 from frobword.starlang import (
     BudgetExceeded,
+    PreconditionViolated,
     WordSet,
     _length_index,
     _member_star_indexed,
@@ -184,7 +185,13 @@ def suite_pairs(max_len: int = 6, agreement_total: int = 14) -> SuiteReport:
     bounds are attained by some pair; commuting pairs match their exact
     formula.  Separately bounds the block-stream agreement length for all
     non-commuting pairs with ``|w| + |x|`` up to ``agreement_total``.
+    ``max_len`` below 2 (no pair up to length 1 attains the star bound) or
+    ``agreement_total`` below 2 (no pair at all) raise ``PreconditionViolated``.
     """
+    if max_len < 2:
+        raise PreconditionViolated("max_len must be at least 2, got %d" % max_len)
+    if agreement_total < 2:
+        raise PreconditionViolated("agreement_total must be at least 2, got %d" % agreement_total)
     report = SuiteReport("pairs")
     words = _pair_words(max_len)
 
@@ -302,8 +309,11 @@ def suite_st(t_max: int = 5) -> SuiteReport:
     The closed form counts the rejecting sink; the suite verifies that
     convention at every size, records that the sink really is present, and
     checks the easy exponential floor.  Small sizes are recomputed through
-    the window construction as an independent route.
+    the window construction as an independent route.  ``t_max`` below 2
+    (the smallest family member) raises ``PreconditionViolated``.
     """
+    if t_max < 2:
+        raise PreconditionViolated("t_max must be at least 2, got %d" % t_max)
     report = SuiteReport("st")
     for t in range(2, t_max + 1):
         fam = star_blowup_family(t)

@@ -2,8 +2,10 @@
 machines, cross-checked against brute enumeration and a naive refinement
 oracle."""
 
+from math import gcd
+
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from frobword import automata
@@ -24,8 +26,8 @@ from frobword.automata import (
     state_complexity,
     to_dot,
 )
-from frobword.starlang import WordSet, window_star_dfa
-from oracles import moore_state_count, words_upto
+from frobword.starlang import WordSet, minimal_star_dfa, window_star_dfa
+from oracles import moore_state_count, sieve_g_f, words_upto
 
 
 def all_but_one_word():
@@ -241,3 +243,53 @@ def test_minimize_numbering_ignores_state_labels(d, rnd):
     )
     m, r = minimize(d), minimize(relabelled)
     assert (r.transitions, r.finals, r.initial) == (m.transitions, m.finals, m.initial)
+
+
+def trie_nfa(alphabet, words, loop=False):
+    """The trie of ``words`` as an ``Nfa``; ``loop`` adds a self-loop on the
+    root's first symbol, which makes the language infinite."""
+    nodes = {"": 0}
+    edges = [(0, alphabet[0], 0)] if loop else []
+    for w in words:
+        for i in range(len(w)):
+            if w[: i + 1] not in nodes:
+                nodes[w[: i + 1]] = len(nodes)
+                edges.append((nodes[w[:i]], w[i], nodes[w[: i + 1]]))
+    return Nfa.from_edges(len(nodes), alphabet, edges, [0], [nodes[w] for w in words])
+
+
+@st.composite
+def finite_word_lists(draw):
+    # "ba" and "210" check that ties break by the declared symbol order
+    alphabet = draw(st.sampled_from(["0", "01", "ba", "210"]))
+    words = draw(st.lists(st.text(alphabet, max_size=6), max_size=8))
+    return alphabet, words
+
+
+@given(finite_word_lists())
+def test_count_and_longest_match_the_word_list(case):
+    alphabet, words = case
+    d = determinize(trie_nfa(alphabet, words))
+    assert count_words(d) == len(set(words))
+    expected = None
+    if words:
+        top = max(map(len, words))
+        expected = min(
+            (w for w in words if len(w) == top), key=lambda w: [alphabet.index(c) for c in w]
+        )
+    assert longest_word(d) == expected
+    if words:
+        looped = determinize(trie_nfa(alphabet, words, loop=True))
+        with pytest.raises(NotFinite):
+            count_words(looped)
+        with pytest.raises(NotFinite):
+            longest_word(looped)
+
+
+@given(st.sets(st.integers(min_value=2, max_value=12), min_size=1, max_size=4))
+def test_unary_complement_matches_sieve(lengths):
+    assume(gcd(*lengths) == 1)
+    g, misses = sieve_g_f(sorted(lengths))
+    comp = complement(minimal_star_dfa(WordSet.of("0", ["0" * a for a in lengths])))
+    assert count_words(comp) == misses
+    assert longest_word(comp) == ("0" * g if misses else None)

@@ -159,6 +159,13 @@ def test_measure_stdin(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["input"] == "-"
 
 
+def test_measure_non_ascii_stdin_is_bad_input(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("alphabet: \u00e9a\na\n"))
+    code, out, err = run(capsys, "measure", "-", "--no-timing")
+    assert (code, out) == (EXIT_BAD_INPUT, "")
+    assert err == "error: -: not an ASCII text file\n"
+
+
 def test_measure_state_cap_env_and_flag(tmp_path, capsys, monkeypatch):
     from frobword.cli import main as cli_main
 
@@ -202,6 +209,50 @@ def test_measure_dot_debug_flag(tmp_path, capsys):
     star = (tmp_path / "g.star.dot").read_text()
     chain = (tmp_path / "g.chain.dot").read_text()
     assert "digraph" in star and "digraph" in chain
+
+
+def test_measure_dot_reuses_the_measured_dfas(tmp_path, capsys, monkeypatch):
+    from frobword import starlang
+    from frobword.automata import to_dot
+
+    f = write_ws(tmp_path, "p.ws", "alphabet: 01\n0\n01\n11\n")
+    s = starlang.WordSet.of("01", ["0", "01", "11"])
+    want_star = to_dot(starlang.minimal_star_dfa(s), "star")
+    want_chain = to_dot(starlang.minimal_chain_dfa(["0", "01", "11"], "01"), "chain")
+    calls = []
+
+    def counted(name):
+        real = getattr(starlang, name)
+
+        def build(*args):
+            calls.append(name)
+            return real(*args)
+
+        return build
+
+    for name in ("window_star_dfa", "chain_nfa"):
+        monkeypatch.setattr(starlang, name, counted(name))
+    prefix = str(tmp_path / "g")
+    code, _, _ = run(capsys, "measure", f, "--no-timing", "--dot", prefix)
+    assert code == EXIT_OK
+    assert sorted(calls) == ["chain_nfa", "window_star_dfa"]
+    assert (tmp_path / "g.star.dot").read_text() == want_star
+    assert (tmp_path / "g.chain.dot").read_text() == want_chain
+
+
+@pytest.mark.parametrize("argv", [["measure"], ["verify", "unary", "--seed", "x"]])
+def test_usage_error_is_bad_input(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_BAD_INPUT
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == EXIT_OK
+    assert "--shallow" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +324,39 @@ def test_verify_nonpositive_count_is_bad_input(capsys, suite, count):
     assert code == EXIT_BAD_INPUT
     assert out == ""
     assert "--count" in err
+
+
+@pytest.mark.parametrize(
+    "argv, says",
+    [
+        (["pairs", "--max-len", "0"], "max_len"),
+        (["pairs", "--max-len", "1"], "max_len"),
+        (["pairs", "--agreement-total", "1"], "agreement_total"),
+        (["st", "--t-max", "1"], "t_max"),
+        (["tmn", "--m", "3", "--n", "7"], "short < long < 2*short"),
+        (["pairs", "--count", "5"], "--count"),
+        (["st", "--shallow"], "--shallow"),
+    ],
+)
+def test_verify_out_of_range_or_unread_flag_is_bad_input(capsys, argv, says):
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, out) == (EXIT_BAD_INPUT, "")
+    assert err.startswith("error: ") and says in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pairs", "--max-len", "2", "--agreement-total", "3"],
+        ["st", "--t-max", "2"],
+        ["tmn", "--m", "2", "--n", "3"],
+    ],
+)
+def test_verify_suites_without_random_instances_accept_seed(capsys, argv):
+    code, out, _ = run(capsys, "verify", *argv, "--seed", "4")
+    assert code == EXIT_OK
+    assert out.startswith("instance\t")
 
 
 # ---------------------------------------------------------------------------

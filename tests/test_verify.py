@@ -1,6 +1,9 @@
 """Scaled-down runs of the verification suites (the full desk-scale runs
 live in the acceptance tests)."""
 
+import pytest
+
+from frobword.starlang import PreconditionViolated
 from frobword.verify import (
     crafted_word_sets,
     random_word_sets,
@@ -75,3 +78,18 @@ def test_suite_report_failure_paths():
     r.add("made-up", 1, 2, False)
     assert not r.passed
     assert len(r.failures()) == 1
+
+
+@pytest.mark.parametrize(
+    "suite, kwargs",
+    [
+        (suite_pairs, {"max_len": 0}),
+        (suite_pairs, {"max_len": 1}),
+        (suite_pairs, {"agreement_total": 1}),
+        (suite_st, {"t_max": 1}),
+        (suite_tmn, {"m": 3, "n": 7}),
+    ],
+)
+def test_out_of_range_parameters_raise(suite, kwargs):
+    with pytest.raises(PreconditionViolated):
+        suite(**kwargs)

@@ -154,15 +154,27 @@ def determinize(nfa: Nfa, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
     breadth-first with symbols in alphabet order, which makes the state
     numbering deterministic.  Raises ``CapExceeded`` as soon as more than
     ``state_cap`` subset states would be created.
+
+    Each symbol's successor function is split once, Shift-And style:
+    ``shift[a]`` holds the states whose only successor on ``a`` is
+    ``s + 1``, ``irregular`` the states with any other nonempty successor
+    set.  A subset's successor on ``a`` is ``(S & shift[a]) << 1`` ORed with
+    the rows of the members of ``S & irregular``, the only ones extracted.
     """
     nsym = len(nfa.alphabet)
     succ = [[0] * nsym for _ in range(nfa.state_count)]
+    shift = [0] * nsym
+    irregular = 0
     for s in range(nfa.state_count):
         for i in range(nsym):
             m = 0
             for t in nfa.transitions[s][i]:
                 m |= 1 << t
             succ[s][i] = m
+            if m == 2 << s:
+                shift[i] |= 1 << s
+            elif m:
+                irregular |= 1 << s
     final_mask = 0
     for s in nfa.finals:
         final_mask |= 1 << s
@@ -178,13 +190,14 @@ def determinize(nfa: Nfa, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
         mask = masks[i]
         i += 1
         members = []
-        while mask:
-            low = mask & -mask
-            mask ^= low
+        rest = mask & irregular
+        while rest:
+            low = rest & -rest
+            rest ^= low
             members.append(succ[low.bit_length() - 1])
         row = []
         for a in range(nsym):
-            nm = 0
+            nm = (mask & shift[a]) << 1
             for r in members:
                 nm |= r[a]
             target = ids.get(nm)

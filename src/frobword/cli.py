@@ -11,15 +11,16 @@ words are allowed and their file order is kept (the order matters for the
 chain of stars; the star closure ignores it).
 
 Exit codes: 0 success, 1 a verified invariant was violated, 2 a resource
-cap was hit (``CapExceeded``), 3 bad input (usage errors, ``OSError``,
-``ValueError``); the commands raise and ``main`` maps.  The environment
-variable ``FROBWORD_STATE_CAP`` overrides the determinization cap; the
-``--state-cap`` flag overrides both.
+limit was hit (``CapExceeded``, ``MemoryError``, ``RecursionError``), 3 bad
+input (usage errors, ``OSError``, ``ValueError``); the commands raise and
+``main`` maps.  The environment variable ``FROBWORD_STATE_CAP`` overrides
+the determinization cap; the ``--state-cap`` flag overrides both.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -301,6 +302,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_BAD_INPUT, "%s: error: %s\n" % (self.prog, message))
 
 
+@functools.cache  # parse_args leaves the parser as it is
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(
         prog="frobword",
@@ -375,6 +377,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except CapExceeded as exc:
         print("error: state cap exceeded: %s" % exc, file=sys.stderr)
+        return EXIT_CAP
+    except (MemoryError, RecursionError) as exc:
+        what = "out of memory" if isinstance(exc, MemoryError) else "recursion too deep"
+        print("error: %s during %s" % (what, args.command), file=sys.stderr)
         return EXIT_CAP
     except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import accumulate, product
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -240,35 +240,26 @@ def window_star_dfa(s: WordSet, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
 def chain_nfa(xs: Sequence[str], alphabet: str) -> Nfa:
     """Nondeterministic acceptor for ``xs[0]* xs[1]* ... xs[-1]*``.
 
-    One cyclic loop per word, anchored at a state reached after each
-    complete repeat; from an anchor the automaton may enter the loop of any
-    later word, which encodes skipping empty blocks.  Anchors accept.
+    One cyclic loop per word: the positions inside a repeat, then an anchor
+    reached after each complete repeat, so every in-loop step, the one back
+    to the anchor included, is ``s -> s + 1`` (``determinize`` runs these as
+    one shift).  From an anchor the automaton enters its own loop or that of
+    any later word, which encodes skipping empty blocks.  Anchors accept.
     State count is the total length of the words.
     """
     if not xs:
         raise ValueError("empty chains are not meaningful")
-    anchors: list[int] = []
-    counter = 0
-    interiors: list[list[int]] = []
-    for x in xs:
-        if not x:
-            raise ValueError("chain words must be nonempty")
-        anchors.append(counter)
-        counter += 1
-        inner = list(range(counter, counter + len(x) - 1))
-        counter += len(x) - 1
-        interiors.append(inner)
-    edges: list[tuple[int, str, int]] = []
-    entries: list[int] = []
+    if not all(xs):
+        raise ValueError("chain words must be nonempty")
+    anchors = [end - 1 for end in accumulate(map(len, xs))]
+    edges: set[tuple[int, str, int]] = set()
     for j, x in enumerate(xs):
-        path = [anchors[j]] + interiors[j] + [anchors[j]]
-        for step, c in enumerate(x):
-            edges.append((path[step], c, path[step + 1]))
-        entries.append(path[1])
-    for i in range(len(xs)):
-        for j in range(i + 1, len(xs)):
-            edges.append((anchors[i], xs[j][0], entries[j]))
-    return Nfa.from_edges(counter, alphabet, set(edges), {anchors[0]}, set(anchors))
+        entry = anchors[j] + 1 - len(x)
+        for anchor in anchors[: j + 1]:
+            edges.add((anchor, x[0], entry))
+        for k in range(1, len(x)):
+            edges.add((entry + k - 1, x[k], entry + k))
+    return Nfa.from_edges(anchors[-1] + 1, alphabet, edges, {anchors[0]}, set(anchors))
 
 
 def chain_cofinite(xs: Sequence[str], alphabet: str) -> bool:

@@ -22,11 +22,14 @@ def sieve_reachable(values, limit):
     return reach
 
 
-def sieve_g_f(values):
+def sieve_g_f(values, limit=None):
     """Largest unreachable amount and the count of unreachable positive
-    amounts, by plain sieving.  Assumes gcd of the values is 1."""
+    amounts, by plain sieving.  Assumes gcd of the values is 1.  The sieve
+    runs to ``limit``, by default ``max * min + max + 1``; a smaller one
+    must still end in a full window of reachable amounts (asserted)."""
     assert gcd(*values) == 1
-    limit = max(values) * min(values) + max(values) + 1
+    if limit is None:
+        limit = max(values) * min(values) + max(values) + 1
     reach = sieve_reachable(values, limit)
     misses = [a for a in range(1, limit + 1) if not reach[a]]
     # the bound is safe once a full window of min(values) consecutive
@@ -171,3 +174,39 @@ def window_star_table(alphabet, words):
         rows.append(tuple(row))
     finals = frozenset(j for j, (_, marks) in enumerate(states) if marks[:1] == (0,))
     return tuple(rows), 0, finals
+
+
+def subset_table(alphabet, n, edges, initial, finals, cap):
+    """Subset construction of the NFA with states ``0 .. n-1`` and
+    ``(source, symbol, target)`` edges, one member row ORed in at a time.
+    Subsets are bitmasks, numbered breadth-first in symbol order from the
+    initial subset; the empty subset is the rejecting sink.  Raises
+    ``RuntimeError("subset construction exceeded <cap> states")`` when a
+    subset beyond the first ``cap`` is reached.  Returns ``(rows, finals)``
+    with state 0 initial."""
+    succ = [[0] * len(alphabet) for _ in range(n)]
+    for s, c, t in edges:
+        succ[s][alphabet.index(c)] |= 1 << t
+    start = sum(1 << s for s in set(initial))
+    final_mask = sum(1 << s for s in set(finals))
+    ids = {start: 0}
+    masks = [start]
+    rows = []
+    i = 0
+    while i < len(masks):
+        mask = masks[i]
+        i += 1
+        row = []
+        for a in range(len(alphabet)):
+            nm = 0
+            for s in range(n):
+                if mask >> s & 1:
+                    nm |= succ[s][a]
+            if nm not in ids:
+                if len(masks) >= cap:
+                    raise RuntimeError("subset construction exceeded %d states" % cap)
+                ids[nm] = len(masks)
+                masks.append(nm)
+            row.append(ids[nm])
+        rows.append(tuple(row))
+    return tuple(rows), frozenset(j for j, m in enumerate(masks) if m & final_mask)

@@ -27,7 +27,7 @@ from frobword.automata import (
     to_dot,
 )
 from frobword.starlang import WordSet, minimal_star_dfa, window_star_dfa
-from oracles import moore_state_count, sieve_g_f, words_upto
+from oracles import moore_state_count, sieve_g_f, subset_table, words_upto
 
 
 def all_but_one_word():
@@ -293,3 +293,44 @@ def test_unary_complement_matches_sieve(lengths):
     comp = complement(minimal_star_dfa(WordSet.of("0", ["0" * a for a in lengths])))
     assert count_words(comp) == misses
     assert longest_word(comp) == ("0" * g if misses else None)
+
+
+@st.composite
+def stepping_nfas(draw):
+    """Random NFAs whose cells are empty, the step ``s -> s + 1``, one random
+    target or a fan-out, so both halves of ``determinize``'s split occur."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    alphabet = draw(st.sampled_from(["0", "01", "012"]))
+    targets = st.integers(min_value=0, max_value=n - 1)
+    edges = []
+    for s in range(n):
+        for c in alphabet:
+            kind = draw(st.sampled_from(["empty", "step", "step", "one", "fan"]))
+            if kind == "step" and s + 1 < n:
+                edges.append((s, c, s + 1))
+            elif kind == "one":
+                edges.append((s, c, draw(targets)))
+            elif kind == "fan":
+                fan = draw(st.sets(targets, min_size=min(2, n), max_size=4))
+                edges.extend((s, c, t) for t in fan)
+    initial = draw(st.sets(targets, min_size=1, max_size=3))
+    finals = draw(st.sets(targets, max_size=n))
+    return n, alphabet, edges, initial, finals
+
+
+@given(stepping_nfas(), st.data())
+def test_determinize_matches_subset_oracle(case, data):
+    n, alphabet, edges, initial, finals = case
+    nfa = Nfa.from_edges(n, alphabet, edges, initial, finals)
+    rows, oracle_finals = subset_table(alphabet, n, edges, initial, finals, 2**n + 1)
+    d = determinize(nfa)
+    assert (d.transitions, d.finals, d.initial) == (rows, oracle_finals, 0)
+    cap = data.draw(st.integers(min_value=1, max_value=len(rows) + 1))
+    try:
+        subset_table(alphabet, n, edges, initial, finals, cap)
+    except RuntimeError as exc:
+        with pytest.raises(CapExceeded) as caught:
+            determinize(nfa, cap)
+        assert str(caught.value) == str(exc)
+    else:
+        assert determinize(nfa, cap) == d

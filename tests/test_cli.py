@@ -11,6 +11,7 @@ from frobword.cli import (
     EXIT_CAP,
     EXIT_OK,
     WordSetFileError,
+    build_parser,
     format_word_set_file,
     main,
     parse_word_set_file,
@@ -374,3 +375,38 @@ def test_oracle_star_and_chain(tmp_path, capsys):
     code, _, err = run(capsys, "oracle", f, "01")
     assert code == EXIT_BAD_INPUT
     assert "alphabet" in err
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_two_calls_in_one_process_match_fresh_parsers(capsys, tmp_path):
+    f = write_ws(tmp_path, "t.ws", "alphabet: 01\n00\n011\n")
+    pairs = [
+        (["gen", "tmn", "--m", "2", "--n", "3"], ["measure", f, "--no-timing"]),
+        (["verify", "unary", "--t-max", "3"], ["verify", "unary", "--count", "3", "--seed", "1"]),
+    ]
+    for calls in pairs:
+        together = [run(capsys, *argv) for argv in calls]
+        apart = []
+        for argv in calls:
+            build_parser.cache_clear()
+            apart.append(run(capsys, *argv))
+        assert together == apart
+    assert [code for code, _, _ in together] == [EXIT_BAD_INPUT, EXIT_OK]
+
+
+@pytest.mark.parametrize(
+    "error, message",
+    [(MemoryError, "out of memory during measure"), (RecursionError, "recursion too deep during measure")],
+)
+def test_resource_limits_exit_cap_without_traceback(capsys, monkeypatch, tmp_path, error, message):
+    from frobword import cli
+
+    def exhausted(*args, **kwargs):
+        raise error()
+
+    monkeypatch.setattr(cli, "measure_all", exhausted)
+    f = write_ws(tmp_path, "t.ws", "alphabet: 01\n00\n011\n")
+    assert run(capsys, "measure", f) == (EXIT_CAP, "", "error: %s\n" % message)

@@ -1,5 +1,8 @@
 """Largest-gap and gap-count arithmetic against closed forms and a sieve."""
 
+from itertools import combinations
+from math import gcd
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -86,3 +89,17 @@ def test_random_tuples_match_sieve(values):
 def test_representable_matches_sieve(values, amount):
     reach = sieve_reachable(values, amount)
     assert representable(amount, values) == reach[amount]
+
+
+@given(st.data())
+def test_large_step_sizes_match_sieve(data):
+    steps = st.integers(min_value=50, max_value=400)
+    a = data.draw(steps)
+    b = data.draw(steps.filter(lambda v: gcd(a, v) == 1))
+    values = [a, b, *data.draw(st.lists(steps, max_size=2))]
+    # every amount from (x-1)(y-1) on is a sum of a coprime pair x, y, so
+    # the smallest such product bounds the sieve
+    limit = min(x * y for x, y in combinations(values, 2) if gcd(x, y) == 1)
+    g, f = sieve_g_f(values, limit)
+    assert frobenius_g(values) == g
+    assert frobenius_f(values) == f

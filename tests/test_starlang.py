@@ -2,13 +2,20 @@
 chain of stars, and the combined measure report."""
 
 import warnings
-from itertools import product
+from itertools import accumulate, product
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from frobword.automata import CapExceeded, determinize, equivalent, is_cofinite, minimize
+from frobword.automata import (
+    DEFAULT_STATE_CAP,
+    CapExceeded,
+    determinize,
+    equivalent,
+    is_cofinite,
+    minimize,
+)
 from frobword.starlang import (
     BudgetExceeded,
     WordSet,
@@ -24,7 +31,7 @@ from frobword.starlang import (
     window_star_dfa,
     window_state_bound,
 )
-from oracles import chain_upto, closure_upto, window_star_table, words_upto
+from oracles import chain_upto, closure_upto, subset_table, window_star_table, words_upto
 
 small_sets = st.lists(
     st.text(alphabet="01", min_size=1, max_size=3), min_size=1, max_size=4
@@ -141,6 +148,46 @@ def test_chain_nfa_size_and_language():
     chain = chain_upto(xs, 6)
     for w in words_upto("01", 6):
         assert n.accepts(w) == (w in chain)
+
+
+@st.composite
+def chains(draw):
+    """Chains over 1-3 letters drawn from a small pool of words, so repeated
+    words and one-letter words are common."""
+    alphabet = draw(st.sampled_from(["0", "01", "012"]))
+    pool = draw(st.lists(st.text(alphabet, min_size=1, max_size=4), min_size=1, max_size=3))
+    return alphabet, draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5))
+
+
+@given(chains())
+def test_chain_nfa_steps_inside_loops_are_shifts(case):
+    alphabet, xs = case
+    n = chain_nfa(xs, alphabet)
+    anchors = [end - 1 for end in accumulate(map(len, xs))]
+    assert (sorted(n.finals), n.initial) == (anchors, {anchors[0]})
+    for s, row in enumerate(n.transitions):
+        if s not in n.finals:
+            assert [cell for cell in row if cell] == [frozenset({s + 1})]
+
+
+@given(chains())
+def test_chain_determinize_matches_subset_oracle(case):
+    alphabet, xs = case
+    n = chain_nfa(xs, alphabet)
+    edges = [
+        (s, alphabet[i], t)
+        for s, row in enumerate(n.transitions)
+        for i, cell in enumerate(row)
+        for t in cell
+    ]
+    rows, finals = subset_table(
+        alphabet, n.state_count, edges, n.initial, n.finals, DEFAULT_STATE_CAP
+    )
+    d = determinize(n)
+    assert (d.transitions, d.finals) == (rows, finals)
+    chain = chain_upto(xs, 5)
+    for w in words_upto(alphabet, 5):
+        assert d.accepts(w) == (w in chain)
 
 
 def test_chain_cofinite_criterion():

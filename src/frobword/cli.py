@@ -225,22 +225,23 @@ def cmd_gen(args) -> int:
 # verify
 
 
-# suite -> (function, the parameters its flags set).  Verify flags default
-# to None and only the given ones are passed, so each default lives once, in
-# the suite's signature.  A flag the suite does not read is bad input, except
-# ``--seed``, the replay key every suite accepts.  ``--shallow`` sets ``deep``.
+# suite -> (its function's name in ``verify``, looked up per call so that a
+# wrapper installed there sees it; the parameters its flags set).  Verify flags
+# default to None and only the given ones are passed, so each default lives
+# once, in the suite's signature.  A flag the suite does not read is bad input,
+# except ``--seed``, the replay key every suite accepts.  ``--shallow`` sets ``deep``.
 SUITES = {
-    "unary": (verify_mod.suite_unary, ("count", "seed")),
-    "pairs": (verify_mod.suite_pairs, ("max_len", "agreement_total")),
-    "st": (verify_mod.suite_st, ("t_max",)),
-    "tmn": (verify_mod.suite_tmn, ("m", "n", "alphabet")),
-    "chain-cofinite": (verify_mod.suite_chain_cofinite, ("count", "seed")),
-    "bounds": (verify_mod.suite_bounds, ("count", "seed", "deep")),
+    "unary": ("suite_unary", ("count", "seed")),
+    "pairs": ("suite_pairs", ("max_len", "agreement_total")),
+    "st": ("suite_st", ("t_max",)),
+    "tmn": ("suite_tmn", ("m", "n", "alphabet")),
+    "chain-cofinite": ("suite_chain_cofinite", ("count", "seed")),
+    "bounds": ("suite_bounds", ("count", "seed", "deep")),
 }
 
 
 def cmd_verify(args) -> int:
-    suite, reads = SUITES[args.suite]
+    name, reads = SUITES[args.suite]
     skip = ("command", "suite", "func")
     given = {k: v for k, v in vars(args).items() if v is not None and k not in skip}
     stray = sorted(given.keys() - set(reads) - {"seed"})
@@ -249,7 +250,7 @@ def cmd_verify(args) -> int:
         raise ValueError("verify %s does not read %s" % (args.suite, flag))
     if given.get("count", 1) < 1:
         raise ValueError("--count must be a positive integer, got %d" % given["count"])
-    report = suite(**{k: v for k, v in given.items() if k in reads})
+    report = getattr(verify_mod, name)(**{k: v for k, v in given.items() if k in reads})
 
     print("instance\tpredicted\tactual\tstatus")
     for row in report.rows:
@@ -355,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="deep",
         action="store_const",
         const=False,
-        help="bounds: skip the word-by-word concordance",
+        help="bounds: skip the per-length language concordance",
     )
     v.set_defaults(func=cmd_verify)
 

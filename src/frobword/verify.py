@@ -14,6 +14,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from math import gcd
+from operator import or_
 
 from frobword.automata import (
     CapExceeded,
@@ -42,10 +43,7 @@ from frobword.starlang import (
     BudgetExceeded,
     PreconditionViolated,
     WordSet,
-    _length_index,
-    _member_star_indexed,
     chain_cofinite,
-    member_chain,
     member_star,
     minimal_chain_dfa,
     minimal_star_dfa,
@@ -149,8 +147,14 @@ def suite_unary(count: int = 50, seed: int = DEFAULT_SEED) -> SuiteReport:
     g, the size must be exactly ``d * (g + 1) + 1``.  Tuples whose
     quotients contain 1 are resampled: their closure is just a cycle and
     the closed form does not apply (they are covered by the degenerate law
-    in the unit tests).
+    in the unit tests).  A ``count`` above the number of tuples left raises
+    ``PreconditionViolated``.
     """
+    tuples = (tup for k in range(1, 5) for tup in itertools.combinations(range(1, 21), k))
+    pool = sum(tup[0] // gcd(*tup) != 1 for tup in tuples)
+    if count > pool:
+        msg = "--count must be at most %d, the number of length tuples, got %d"
+        raise PreconditionViolated(msg % (pool, count))
     report = SuiteReport("unary")
     rng = random.Random(seed)
     seen: set[tuple[int, ...]] = set()
@@ -463,12 +467,40 @@ def suite_chain_cofinite(count: int = 100, seed: int = DEFAULT_SEED) -> SuiteRep
     return report
 
 
-def _accepts(d: Dfa, sym: dict[str, int], word: str) -> bool:
-    """DFA membership with the symbol map built once by the caller."""
-    st = d.initial
-    for c in word:
-        st = d.transitions[st][sym[c]]
-    return st in d.finals
+def _levels(alphabet: str, max_len: int, blocks) -> list[bytearray]:
+    """The words up to ``max_len`` of ``blocks[0]* blocks[1]* ...`` (each
+    block a collection of words), generated from the definition: level ``n``
+    holds one flag per word of length ``n``, in ``itertools.product`` order.
+    Appending a word of length ``k`` and index ``c`` to the word of index
+    ``u`` gives index ``u * sigma**k + c``, so appending it to a whole level
+    is one strided slice; levels grow upwards, so they include repeats."""
+    sigma = len(alphabet)
+    levels = [bytearray(sigma**n) for n in range(max_len + 1)]
+    levels[0][0] = 1
+    for block in blocks:
+        for n in range(1, max_len + 1):
+            for w in block:
+                if len(w) <= n:
+                    c = sum(alphabet.index(a) * sigma**j for j, a in enumerate(reversed(w)))
+                    step = sigma ** len(w)
+                    levels[n][c::step] = bytes(map(or_, levels[n][c::step], levels[n - len(w)]))
+    return levels
+
+
+def _first_difference(d: Dfa, levels) -> str | None:
+    """The least word (by length, then ``itertools.product`` order) on which
+    ``d`` and the levels disagree, else None.  The states after the words of
+    length ``n`` are, in order, the successors of those after length ``n - 1``."""
+    states = [d.initial]
+    for n, level in enumerate(levels):
+        if n:
+            states = [t for s in states for t in d.transitions[s]]
+        accepted = bytes(s in d.finals for s in states)
+        if accepted != level:
+            i = next(i for i, (a, b) in enumerate(zip(accepted, level)) if a != b)
+            sigma = len(d.alphabet)
+            return "".join(d.alphabet[i // sigma**j % sigma] for j in reversed(range(n)))
+    return None
 
 
 def suite_bounds(count: int = 200, seed: int = DEFAULT_SEED, deep: bool = True) -> SuiteReport:
@@ -478,9 +510,10 @@ def suite_bounds(count: int = 200, seed: int = DEFAULT_SEED, deep: bool = True) 
     agrees with the determinized trie; its reachable size obeys the closed
     bound; minimal DFA sizes obey the subset bound (and the sharper one for
     prefix-free sets); co-finite closures omit fewer than bound-many words
-    and their longest omission is shorter than the bound; the membership
-    oracles agree with the automata word-for-word up to length 12 (binary)
-    and 8 (ternary) when ``deep`` is set.
+    and their longest omission is shorter than the bound.  With ``deep``,
+    the minimal DFAs of the star and of a shuffled chain of stars match the
+    languages generated from the definitions, compared per length up to 12
+    (binary) and 8 (ternary); a mismatch names the least differing word.
     """
     report = SuiteReport("bounds")
     corpus = random_word_sets(count, seed) + crafted_word_sets()
@@ -489,15 +522,8 @@ def suite_bounds(count: int = 200, seed: int = DEFAULT_SEED, deep: bool = True) 
     equiv_bad = window_bad = subset_bad = prefixfree_bad = 0
     prefixfree_n = cof_n = 0
     longest_bad = count_bad = condition_bad = 0
-    star_mismatch = chain_mismatch = 0
-    deep_words: dict[str, list[str]] = {}
-    if deep:
-        deep_words["01"] = [
-            "".join(p) for L in range(0, 13) for p in itertools.product("01", repeat=L)
-        ]
-        deep_words["012"] = [
-            "".join(p) for L in range(0, 9) for p in itertools.product("012", repeat=L)
-        ]
+    mismatches = {"star": 0, "chain": 0}
+    deep_len = {"01": 12, "012": 8} if deep else {}
 
     for s in corpus:
         win = window_star_dfa(s)
@@ -545,22 +571,18 @@ def suite_bounds(count: int = 200, seed: int = DEFAULT_SEED, deep: bool = True) 
                     report.add(
                         "extension condition %s" % (s.words,), True, False, False
                     )
-        if deep and s.alphabet in deep_words:
-            sym = {c: i for i, c in enumerate(s.alphabet)}
-            idx = _length_index(s.words)
-            for w in deep_words[s.alphabet]:
-                if _accepts(d, sym, w) != _member_star_indexed(idx, w):
-                    star_mismatch += 1
-                    report.add("star oracle %s word %s" % (s.words, w), "agree", "differ", False)
-                    break
+        if s.alphabet in deep_len:
             order = list(s.words)
             rng.shuffle(order)
-            cd = minimal_chain_dfa(order, s.alphabet)
-            for w in deep_words[s.alphabet]:
-                if _accepts(cd, sym, w) != member_chain(order, w):
-                    chain_mismatch += 1
-                    report.add("chain oracle %s word %s" % (order, w), "agree", "differ", False)
-                    break
+            checks = (
+                ("star", d, s.words, [s.words]),
+                ("chain", minimal_chain_dfa(order, s.alphabet), order, [[x] for x in order]),
+            )
+            for kind, dfa, words, blocks in checks:
+                w = _first_difference(dfa, _levels(s.alphabet, deep_len[s.alphabet], blocks))
+                if w is not None:
+                    mismatches[kind] += 1
+                    report.add("%s oracle %s word %s" % (kind, words, w), "agree", "differ", False)
 
     n = len(corpus)
     report.add("window vs trie, %d sets" % n, "0 differ", "%d differ" % equiv_bad, equiv_bad == 0)
@@ -591,16 +613,6 @@ def suite_bounds(count: int = 200, seed: int = DEFAULT_SEED, deep: bool = True) 
         condition_bad == 0,
     )
     if deep:
-        report.add(
-            "star membership concordance",
-            "0 mismatches",
-            "%d mismatches" % star_mismatch,
-            star_mismatch == 0,
-        )
-        report.add(
-            "chain membership concordance",
-            "0 mismatches",
-            "%d mismatches" % chain_mismatch,
-            chain_mismatch == 0,
-        )
+        for kind, bad in mismatches.items():
+            report.add("%s membership concordance" % kind, "0 mismatches", "%d mismatches" % bad, bad == 0)
     return report

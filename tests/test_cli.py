@@ -1,6 +1,7 @@
 """The command line: file parsing, JSON reports, generators, suites,
 oracle queries, and the exit-code contract."""
 
+import hashlib
 import io
 import json
 
@@ -16,6 +17,8 @@ from frobword.cli import (
     main,
     parse_word_set_file,
 )
+from frobword import verify
+from frobword.verify import SuiteReport
 
 
 def run(capsys, *argv):
@@ -337,6 +340,7 @@ def test_verify_nonpositive_count_is_bad_input(capsys, suite, count):
         (["tmn", "--m", "3", "--n", "7"], "short < long < 2*short"),
         (["pairs", "--count", "5"], "--count"),
         (["st", "--shallow"], "--shallow"),
+        (["unary", "--count", "4835"], "--count must be at most 4834"),
     ],
 )
 def test_verify_out_of_range_or_unread_flag_is_bad_input(capsys, argv, says):
@@ -358,6 +362,41 @@ def test_verify_suites_without_random_instances_accept_seed(capsys, argv):
     code, out, _ = run(capsys, "verify", *argv, "--seed", "4")
     assert code == EXIT_OK
     assert out.startswith("instance\t")
+
+
+def test_verify_looks_the_suite_up_on_verify_per_call(capsys, monkeypatch):
+    calls = []
+
+    def fake(**kwargs):
+        calls.append(kwargs)
+        return SuiteReport("bounds")
+
+    monkeypatch.setattr(verify, "suite_bounds", fake)
+    code, out, _ = run(capsys, "verify", "bounds", "--count", "1", "--shallow")
+    assert calls == [{"count": 1, "deep": False}]
+    assert (code, out) == (EXIT_OK, "instance\tpredicted\tactual\tstatus\n")
+
+
+# sha256 of the table each suite prints at seed 7, with the arguments the
+# benchmark's verify-replay workload gives pairs and bounds; every exit code is 0
+PINNED_TABLES = {
+    "unary": ([], "607b153143f5cf1343c792665b5d4953aa92a37abbfbbdbff3307235819b35f6"),
+    "pairs": (
+        ["--max-len", "5", "--agreement-total", "12"],
+        "5af0a4c5b4c6c3b9c7d9a5bd74e49b28bb394924249c0eb65c987db577381658",
+    ),
+    "st": ([], "f25f1ff58877d734c67d8349947b9fb0e513071617e45e674a90a1de264ea108"),
+    "tmn": ([], "9933eb0310b974d24c3dd2d81c681528a8a40dec8563583c5c3f32d74b15115c"),
+    "chain-cofinite": ([], "b0ad0dbc58c046fce238b92cd21cd32896ba5fb2e56192419ce8e4c86ab958a0"),
+    "bounds": (["--count", "10"], "0d2e56d5fd8766b796a0fd25cabbfba37b1c27e008e6049ecf35ac868fc5ab3f"),
+}
+
+
+@pytest.mark.parametrize("suite", list(PINNED_TABLES))
+def test_verify_tables_are_byte_stable(capsys, suite):
+    args, digest = PINNED_TABLES[suite]
+    code, out, _ = run(capsys, "verify", suite, "--seed", "7", *args)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (EXIT_OK, digest)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,17 @@
 """Scaled-down runs of the verification suites (the full desk-scale runs
 live in the acceptance tests)."""
 
-import pytest
+from dataclasses import replace
+from itertools import product
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from frobword import verify
 from frobword.starlang import PreconditionViolated
 from frobword.verify import (
+    _levels,
     crafted_word_sets,
     random_word_sets,
     suite_bounds,
@@ -14,6 +21,7 @@ from frobword.verify import (
     suite_tmn,
     suite_unary,
 )
+from oracles import chain_upto, closure_upto, words_upto
 
 
 def test_random_word_sets_deterministic():
@@ -88,8 +96,107 @@ def test_suite_report_failure_paths():
         (suite_pairs, {"agreement_total": 1}),
         (suite_st, {"t_max": 1}),
         (suite_tmn, {"m": 3, "n": 7}),
+        (suite_unary, {"count": 4835}),
     ],
 )
 def test_out_of_range_parameters_raise(suite, kwargs):
     with pytest.raises(PreconditionViolated):
         suite(**kwargs)
+
+
+# ---------------------------------------------------------------------------
+# the concordance of suite_bounds: languages generated per length
+
+
+def _words_of(levels, alphabet):
+    return {
+        "".join(p)
+        for n, level in enumerate(levels)
+        for p, flag in zip(product(alphabet, repeat=n), level)
+        if flag
+    }
+
+
+@st.composite
+def words_and_chains(draw):
+    """A binary or ternary word set and a chain order over it, repeats allowed."""
+    alphabet = draw(st.sampled_from(["01", "012"]))
+    word = st.text(alphabet, min_size=1, max_size=4)
+    words = draw(st.lists(word, min_size=1, max_size=4, unique=True))
+    order = draw(st.lists(st.sampled_from(words), min_size=1, max_size=5))
+    return alphabet, words, order
+
+
+@given(words_and_chains())
+def test_levels_match_closure_and_chain_oracles(case):
+    alphabet, words, order = case
+    upto = 7 if alphabet == "01" else 5
+    assert _words_of(_levels(alphabet, upto, [words]), alphabet) == closure_upto(words, upto)
+    chain = _levels(alphabet, upto, [[x] for x in order])
+    assert _words_of(chain, alphabet) == chain_upto(order, upto)
+
+
+def _least_difference(d, language, upto):
+    """The first word in ``words_upto`` order on which ``d`` and the
+    language disagree, walking the DFA word by word."""
+    for w in words_upto(d.alphabet, upto):
+        state = d.initial
+        for c in w:
+            state = d.transitions[state][d.alphabet.index(c)]
+        if (state in d.finals) != (w in language):
+            return w
+    return None
+
+
+DEEP = {"01": 12, "012": 8}
+COUNT, SEED = 6, 5
+
+
+def _oracle_rows(report, kind):
+    return {r.instance for r in report.rows if r.instance.startswith(kind + " oracle")}
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [lambda order: order[::-1], lambda order: order[:-1] or order],
+    ids=["reversed", "last-dropped"],
+)
+def test_chain_fault_reports_the_least_differing_word(monkeypatch, fault):
+    real, built = verify.minimal_chain_dfa, []
+
+    def faulty(order, alphabet):
+        d = real(fault(order), alphabet)
+        built.append((order, d))
+        return d
+
+    monkeypatch.setattr(verify, "minimal_chain_dfa", faulty)
+    report = suite_bounds(count=COUNT, seed=SEED)
+    expected = set()
+    for order, d in built:
+        w = _least_difference(d, chain_upto(order, DEEP[d.alphabet]), DEEP[d.alphabet])
+        if w is not None:
+            expected.add("chain oracle %s word %s" % (order, w))
+    assert expected and _oracle_rows(report, "chain") == expected
+    assert _oracle_rows(report, "star") == set()
+
+
+def test_star_fault_reports_the_least_differing_word(monkeypatch):
+    real, built = verify.minimize, []
+
+    def faulty(d):
+        m = real(d)
+        m = replace(m, finals=m.finals - {max(m.finals - {m.initial}, default=m.initial)})
+        built.append(m)
+        return m
+
+    monkeypatch.setattr(verify, "minimize", faulty)
+    report = suite_bounds(count=COUNT, seed=SEED)
+    corpus = random_word_sets(COUNT, SEED) + crafted_word_sets()
+    expected = set()
+    for s, d in zip(corpus, built, strict=True):
+        if s.alphabet in DEEP:
+            w = _least_difference(d, closure_upto(s.words, DEEP[s.alphabet]), DEEP[s.alphabet])
+            if w is not None:
+                expected.add("star oracle %s word %s" % (s.words, w))
+    assert expected and _oracle_rows(report, "star") == expected
+    assert _oracle_rows(report, "chain") == set()

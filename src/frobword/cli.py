@@ -5,10 +5,11 @@ emits a JSON report, ``gen`` prints the built-in families as word-set
 files, ``verify`` replays a verification suite as a TSV table, and
 ``oracle`` answers membership queries by brute force.
 
-Word-set file format: a header line ``alphabet: <chars>``, then one word
-per line.  ``#`` starts a comment, blank lines are ignored, duplicate
-words are allowed and their file order is kept (the order matters for the
-chain of stars; the star closure ignores it).
+Word-set file format: a header line ``alphabet: <chars>`` (ASCII, no ``#``
+or whitespace), then one word per line.  ``#`` starts a comment, blank
+lines are ignored, duplicate words are allowed and their file order is
+kept (the order matters for the chain of stars; the star closure ignores
+it).
 
 Exit codes: 0 success, 1 a verified invariant was violated, 2 a resource
 limit was hit (``CapExceeded``, ``MemoryError``, ``RecursionError``), 3 bad
@@ -46,6 +47,17 @@ class WordSetFileError(ValueError):
     name and line number."""
 
 
+def _check_carried(alphabet: str, where: str) -> None:
+    """Refuse an alphabet the word-set format cannot carry: the text is
+    ASCII, lines are stripped, and ``#`` starts a comment."""
+    bad = sorted({c for c in alphabet if not c.isascii() or c == "#" or c.isspace()})
+    if bad:
+        raise WordSetFileError(
+            "%s: alphabet %r has %s; a word-set file carries only ASCII without '#' or whitespace"
+            % (where, alphabet, ",".join(map(repr, bad)))
+        )
+
+
 def parse_word_set_file(text: str, source: str = "<input>") -> tuple[str, list[str]]:
     """Parse a word-set file into ``(alphabet, words)``.
 
@@ -70,6 +82,7 @@ def parse_word_set_file(text: str, source: str = "<input>") -> tuple[str, list[s
                 raise WordSetFileError(
                     "%s:%d: repeated character in alphabet %r" % (source, lineno, alphabet)
                 )
+            _check_carried(alphabet, "%s:%d" % (source, lineno))
             continue
         stray = sorted(set(line) - set(alphabet))
         if stray:
@@ -217,6 +230,7 @@ def cmd_gen(args) -> int:
         else:
             ws = two_length_family(args.m, args.n, args.alphabet).words
         alphabet, words = ws.alphabet, ws.words
+    _check_carried(alphabet, "gen")
     sys.stdout.write(format_word_set_file(alphabet, words))
     return EXIT_OK
 

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from itertools import accumulate, product
+from itertools import accumulate
 from math import gcd
+from operator import or_
 from typing import Iterable, Sequence
 
 from frobword.automata import (
@@ -140,6 +141,26 @@ def member_chain(xs: Sequence[str], word: str) -> bool:
                 stack.append(q)
         positions = grown
     return len(word) in positions
+
+
+def _levels(alphabet: str, max_len: int, blocks) -> list[bytearray]:
+    """The words up to ``max_len`` of ``blocks[0]* blocks[1]* ...`` (each
+    block a collection of words), generated from the definition: level ``n``
+    holds one flag per word of length ``n``, in ``itertools.product`` order.
+    Appending a word of length ``k`` and index ``c`` to the word of index
+    ``u`` gives index ``u * sigma**k + c``, so appending it to a whole level
+    is one strided slice; levels grow upwards, so they include repeats."""
+    sigma = len(alphabet)
+    levels = [bytearray(sigma**n) for n in range(max_len + 1)]
+    levels[0][0] = 1
+    for block in blocks:
+        for n in range(1, max_len + 1):
+            for w in block:
+                if len(w) <= n:
+                    c = sum(alphabet.index(a) * sigma**j for j, a in enumerate(reversed(w)))
+                    step = sigma ** len(w)
+                    levels[n][c::step] = bytes(map(or_, levels[n][c::step], levels[n - len(w)]))
+    return levels
 
 
 def trie_star_nfa(s: WordSet) -> Nfa:
@@ -415,9 +436,11 @@ def two_length_cofinite(
     closure then misses only finitely many words iff the set contains every
     word of the short length and the closure contains every word of length
     ``short_len * sigma**(long_len - short_len) + long_len - short_len``
-    (sigma the alphabet size).  That borderline length is checked by
-    running the membership oracle over all words of that length, so the
-    call refuses to start when there are more than ``budget`` of them.
+    (sigma the alphabet size).  That borderline length is decided by
+    generating the closure's words up to it, one flag per word and length
+    (``_levels``), so the call refuses to start when that length has more
+    than ``budget`` words; over two or more letters all the flags together
+    then take under ``2 * budget`` bytes.
     """
     m, n = short_len, long_len
     if not (0 < m < n < 2 * m):
@@ -435,8 +458,4 @@ def two_length_cofinite(
         raise BudgetExceeded(
             "would enumerate %d words of length %d" % (sigma**threshold, threshold)
         )
-    index = _length_index(s.words)
-    for tup in product(s.alphabet, repeat=threshold):
-        if not _member_star_indexed(index, "".join(tup)):
-            return False
-    return True
+    return all(_levels(s.alphabet, threshold, [s.words])[threshold])

@@ -14,7 +14,6 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from math import gcd
-from operator import or_
 
 from frobword.automata import (
     CapExceeded,
@@ -43,6 +42,7 @@ from frobword.starlang import (
     BudgetExceeded,
     PreconditionViolated,
     WordSet,
+    _levels,
     chain_cofinite,
     member_star,
     minimal_chain_dfa,
@@ -84,6 +84,10 @@ class SuiteReport:
 
     def add(self, instance: str, predicted, actual, ok: bool) -> None:
         self.rows.append(CheckRow(instance, str(predicted), str(actual), ok))
+
+    def tally(self, instance: str, noun: str, bad: int) -> None:
+        """A summary row: ``0 <noun>`` predicted, ``<bad> <noun>`` found."""
+        self.add(instance, "0 " + noun, "%d %s" % (bad, noun), bad == 0)
 
     def failures(self) -> list[CheckRow]:
         return [r for r in self.rows if not r.ok]
@@ -172,12 +176,42 @@ def suite_unary(count: int = 50, seed: int = DEFAULT_SEED) -> SuiteReport:
     return report
 
 
-def _pair_words(max_len: int) -> list[str]:
-    return [
-        "".join(p)
-        for n in range(1, max_len + 1)
-        for p in itertools.product("01", repeat=n)
-    ]
+def _binary(n: int) -> list[str]:
+    return ["".join(p) for p in itertools.product("01", repeat=n)]
+
+
+def _pair_law(report: SuiteReport, kind: str, label: str, pairs, predict, size) -> None:
+    """One two-word size law: ``predict(w, x)`` is exact on commuting pairs
+    and an upper bound, attained by some pair, on the rest; ``size(w, x)``
+    builds the automaton.  Adds a row per violation (named ``kind`` and
+    ``label % (w, x)``), then the three summary rows."""
+    checked = viol = tight = exact_checked = exact_bad = 0
+    first_tight = ""
+    for w, x in pairs:
+        pred, claim = predict(w, x)
+        actual = size(w, x)
+        name = label % (w, x)
+        if claim == EXACT:
+            exact_checked += 1
+            if actual != pred:
+                exact_bad += 1
+                report.add("%s %s" % (kind, name), pred, actual, False)
+        else:
+            checked += 1
+            if actual > pred:
+                viol += 1
+                report.add("%s %s" % (kind, name), "<= %d" % pred, actual, False)
+            if actual == pred:
+                tight += 1
+                first_tight = first_tight or name
+    report.tally("%s bound, %d non-commuting pairs" % (kind, checked), "violations", viol)
+    report.add(
+        "%s bound tightness" % kind,
+        ">= 1 pair attains it",
+        "%d attain (first %s)" % (tight, first_tight),
+        tight >= 1,
+    )
+    report.tally("%s commuting formula, %d pairs" % (kind, exact_checked), "mismatches", exact_bad)
 
 
 def suite_pairs(max_len: int = 6, agreement_total: int = 14) -> SuiteReport:
@@ -197,113 +231,32 @@ def suite_pairs(max_len: int = 6, agreement_total: int = 14) -> SuiteReport:
     if agreement_total < 2:
         raise PreconditionViolated("agreement_total must be at least 2, got %d" % agreement_total)
     report = SuiteReport("pairs")
-    words = _pair_words(max_len)
+    words = [w for n in range(1, max_len + 1) for w in _binary(n)]
 
-    checked = viol = tight = 0
-    exact_checked = exact_bad = 0
-    first_tight = ""
-    for i, w in enumerate(words):
-        for x in words[i:]:
-            pred, kind = predicted_pair_star_sc(w, x)
-            ws = WordSet.of("01", {w, x})
-            actual = state_complexity(determinize(trie_star_nfa(ws)))
-            if kind == EXACT:
-                exact_checked += 1
-                if actual != pred:
-                    exact_bad += 1
-                    report.add("star {%s,%s}" % (w, x), pred, actual, False)
-            else:
-                checked += 1
-                if actual > pred:
-                    viol += 1
-                    report.add("star {%s,%s}" % (w, x), "<= %d" % pred, actual, False)
-                if actual == pred:
-                    tight += 1
-                    if not first_tight:
-                        first_tight = "{%s,%s}" % (w, x)
-    report.add(
-        "star bound, %d non-commuting pairs" % checked,
-        "0 violations",
-        "%d violations" % viol,
-        viol == 0,
-    )
-    report.add(
-        "star bound tightness",
-        ">= 1 pair attains it",
-        "%d attain (first %s)" % (tight, first_tight),
-        tight >= 1,
-    )
-    report.add(
-        "star commuting formula, %d pairs" % exact_checked,
-        "0 mismatches",
-        "%d mismatches" % exact_bad,
-        exact_bad == 0,
-    )
+    def star_size(w: str, x: str) -> int:
+        return state_complexity(determinize(trie_star_nfa(WordSet.of("01", {w, x}))))
 
-    checked = viol = tight = 0
-    exact_checked = exact_bad = 0
-    first_tight = ""
-    for w in words:
-        for x in words:
-            pred, kind = predicted_pair_concat_sc(w, x)
-            actual = minimal_chain_dfa([w, x], "01").state_count
-            if kind == EXACT:
-                exact_checked += 1
-                if actual != pred:
-                    exact_bad += 1
-                    report.add("concat %s* %s*" % (w, x), pred, actual, False)
-            else:
-                checked += 1
-                if actual > pred:
-                    viol += 1
-                    report.add("concat %s* %s*" % (w, x), "<= %d" % pred, actual, False)
-                if actual == pred:
-                    tight += 1
-                    if not first_tight:
-                        first_tight = "%s* %s*" % (w, x)
-    report.add(
-        "concat bound, %d non-commuting pairs" % checked,
-        "0 violations",
-        "%d violations" % viol,
-        viol == 0,
-    )
-    report.add(
-        "concat bound tightness",
-        ">= 1 pair attains it",
-        "%d attain (first %s)" % (tight, first_tight),
-        tight >= 1,
-    )
-    report.add(
-        "concat commuting formula, %d pairs" % exact_checked,
-        "0 mismatches",
-        "%d mismatches" % exact_bad,
-        exact_bad == 0,
-    )
+    def concat_size(w: str, x: str) -> int:
+        return minimal_chain_dfa([w, x], "01").state_count
+
+    unordered = ((w, x) for i, w in enumerate(words) for x in words[i:])
+    _pair_law(report, "star", "{%s,%s}", unordered, predicted_pair_star_sc, star_size)
+    ordered = itertools.product(words, repeat=2)
+    _pair_law(report, "concat", "%s* %s*", ordered, predicted_pair_concat_sc, concat_size)
 
     checked = viol = 0
     for total in range(2, agreement_total + 1):
         for la in range(1, total):
-            lb = total - la
-            for pa in itertools.product("01", repeat=la):
-                w = "".join(pa)
-                for pb in itertools.product("01", repeat=lb):
-                    x = "".join(pb)
-                    if commutes(w, x):
-                        continue
-                    checked += 1
-                    agr = fine_wilf_agreement(w, x)
-                    bound = la + lb - gcd(la, lb) - 1
-                    if agr > bound:
-                        viol += 1
-                        report.add(
-                            "agreement (%s,%s)" % (w, x), "<= %d" % bound, agr, False
-                        )
-    report.add(
-        "agreement bound, %d non-commuting pairs" % checked,
-        "0 violations",
-        "%d violations" % viol,
-        viol == 0,
-    )
+            bound = total - gcd(la, total - la) - 1
+            for w, x in itertools.product(_binary(la), _binary(total - la)):
+                if commutes(w, x):
+                    continue
+                checked += 1
+                agr = fine_wilf_agreement(w, x)
+                if agr > bound:
+                    viol += 1
+                    report.add("agreement (%s,%s)" % (w, x), "<= %d" % bound, agr, False)
+    report.tally("agreement bound, %d non-commuting pairs" % checked, "violations", viol)
     return report
 
 
@@ -369,56 +322,30 @@ def suite_tmn(m: int = 3, n: int = 5, alphabet: str = "01") -> SuiteReport:
     report.add("longest omitted length", predicted, len(wit) if wit else None, wit is not None and len(wit) == predicted)
     structured = longest_omitted_witness(fam)
     report.add("longest omitted word", structured, wit, wit == structured)
-    report.add(
-        "witness rejected by oracle",
-        False,
-        member_star(s, structured),
-        member_star(s, structured) is False,
-    )
+    inside = member_star(s, structured)
+    report.add("witness rejected by oracle", False, inside, inside is False)
 
     count = count_words(comp)
     floor = omitted_count_lower_bound(fam)
     report.add("omitted count", ">= %d" % floor, count, count >= floor)
 
-    report.add(
-        "prefix/suffix extension condition",
-        True,
-        prefix_suffix_condition(s.words),
-        prefix_suffix_condition(s.words),
-    )
+    condition = prefix_suffix_condition(s.words)
+    report.add("prefix/suffix extension condition", True, condition, condition)
 
     # pumping the seed word: every interleaving of the seed with full-length
     # filler blocks stays outside the closure until the count runs out
-    sigma = len(alphabet)
     fillers = ["".join(p) for p in itertools.product(alphabet, repeat=m)]
-    rng = random.Random(DEFAULT_SEED)
     if len(fillers) > 32:
-        fillers = rng.sample(fillers, 32)
-    bad = 0
-    total = 0
+        fillers = random.Random(DEFAULT_SEED).sample(fillers, 32)
+    total = bad = 0
     for reps in range(1, m):
-        blocks = reps - 1
-        if blocks == 0:
+        for combo in itertools.product(fillers, repeat=reps - 1):
             total += 1
-            if member_star(s, fam.seed_word):
-                bad += 1
-        else:
-            for combo in itertools.product(fillers, repeat=blocks):
-                total += 1
-                pumped = fam.seed_word
-                for f in combo:
-                    pumped += f + fam.seed_word
-                if member_star(s, pumped):
-                    bad += 1
-    report.add(
-        "seed pumping, %d words" % total,
-        "all outside the closure",
-        "%d inside" % bad,
-        bad == 0,
-    )
+            bad += member_star(s, fam.seed_word + "".join(f + fam.seed_word for f in combo))
+    report.add("seed pumping, %d words" % total, "all outside the closure", "%d inside" % bad, bad == 0)
 
     # dropping any short word must break co-finiteness
-    if sigma**m <= 16:
+    if len(alphabet) ** m <= 16:
         broken = 0
         shorts = [w for w in s.words if len(w) == m]
         for u in shorts:
@@ -465,26 +392,6 @@ def suite_chain_cofinite(count: int = 100, seed: int = DEFAULT_SEED) -> SuiteRep
             predicted == actual,
         )
     return report
-
-
-def _levels(alphabet: str, max_len: int, blocks) -> list[bytearray]:
-    """The words up to ``max_len`` of ``blocks[0]* blocks[1]* ...`` (each
-    block a collection of words), generated from the definition: level ``n``
-    holds one flag per word of length ``n``, in ``itertools.product`` order.
-    Appending a word of length ``k`` and index ``c`` to the word of index
-    ``u`` gives index ``u * sigma**k + c``, so appending it to a whole level
-    is one strided slice; levels grow upwards, so they include repeats."""
-    sigma = len(alphabet)
-    levels = [bytearray(sigma**n) for n in range(max_len + 1)]
-    levels[0][0] = 1
-    for block in blocks:
-        for n in range(1, max_len + 1):
-            for w in block:
-                if len(w) <= n:
-                    c = sum(alphabet.index(a) * sigma**j for j, a in enumerate(reversed(w)))
-                    step = sigma ** len(w)
-                    levels[n][c::step] = bytes(map(or_, levels[n][c::step], levels[n - len(w)]))
-    return levels
 
 
 def _first_difference(d: Dfa, levels) -> str | None:
@@ -585,34 +492,14 @@ def suite_bounds(count: int = 200, seed: int = DEFAULT_SEED, deep: bool = True) 
                     report.add("%s oracle %s word %s" % (kind, words, w), "agree", "differ", False)
 
     n = len(corpus)
-    report.add("window vs trie, %d sets" % n, "0 differ", "%d differ" % equiv_bad, equiv_bad == 0)
-    report.add("window size bound, %d sets" % n, "0 over", "%d over" % window_bad, window_bad == 0)
-    report.add("subset bound, %d sets" % n, "0 over", "%d over" % subset_bad, subset_bad == 0)
-    report.add(
-        "prefix-free bound, %d sets" % prefixfree_n,
-        "0 over",
-        "%d over" % prefixfree_bad,
-        prefixfree_bad == 0,
-    )
-    report.add(
-        "longest omitted bound, %d co-finite sets" % cof_n,
-        "0 over",
-        "%d over" % longest_bad,
-        longest_bad == 0,
-    )
-    report.add(
-        "omitted count bound",
-        "0 over",
-        "%d over" % count_bad,
-        count_bad == 0,
-    )
-    report.add(
-        "extension condition on co-finite sets",
-        "0 failures",
-        "%d failures" % condition_bad,
-        condition_bad == 0,
-    )
+    report.tally("window vs trie, %d sets" % n, "differ", equiv_bad)
+    report.tally("window size bound, %d sets" % n, "over", window_bad)
+    report.tally("subset bound, %d sets" % n, "over", subset_bad)
+    report.tally("prefix-free bound, %d sets" % prefixfree_n, "over", prefixfree_bad)
+    report.tally("longest omitted bound, %d co-finite sets" % cof_n, "over", longest_bad)
+    report.tally("omitted count bound", "over", count_bad)
+    report.tally("extension condition on co-finite sets", "failures", condition_bad)
     if deep:
         for kind, bad in mismatches.items():
-            report.add("%s membership concordance" % kind, "0 mismatches", "%d mismatches" % bad, bad == 0)
+            report.tally("%s membership concordance" % kind, "mismatches", bad)
     return report

@@ -64,46 +64,28 @@ def fine_wilf_agreement(w: str, x: str) -> int | float:
     search below is additionally clamped at ``len(w) + len(x)`` so it
     terminates no matter what.
 
-    States are pairs of block residuals, at most ``(len(w) + len(x))**2``
-    of them, memoized.  The depth-first search keeps its own stack, so
-    long blocks cannot exhaust the interpreter's recursion limit.
+    The search is level by level: it keeps the set of residual pairs (the
+    unread rest of each stream's current block) reachable after ``d``
+    matched letters, and stops at the first ``d`` where no pair reads a
+    common letter next; a residual of one letter is followed by a fresh
+    ``w`` or ``x``.  Each residual is a nonempty suffix of ``w`` or ``x``,
+    so a level holds at most ``(len(w) + len(x))**2`` pairs, and nothing
+    recurses, so long blocks are safe.
     """
     _require_nonempty(w, x)
     if w + x == x + w:
         return INFINITE
-    words = (w, x)
+
+    def after(r: str) -> tuple[str, ...]:
+        return (r[1:],) if len(r) > 1 else (w, x)
+
     cap = len(w) + len(x)
-    restart = ((0, 0), (1, 0))
-    memo: dict[tuple[int, int, int, int], int] = {}  # -1 while being worked out
-    # frames are [state, successors not yet tried (last first), best so far]
-    stack: list[list] = []
-    key = (0, 0, 1, 0)
-    while True:
-        got = memo.get(key)
-        if got is None:
-            u, i, v, j = key
-            if words[u][i] != words[v][j]:
-                got = memo[key] = 0
-            else:
-                memo[key] = -1
-                left = ((u, i + 1),) if i + 1 < len(words[u]) else restart
-                right = ((v, j + 1),) if j + 1 < len(words[v]) else restart
-                nexts = [(a, b, c, e) for a, b in left for c, e in right]
-                nexts.reverse()
-                stack.append([key, nexts, 0])
-        elif got < 0:
-            got = cap  # a loop would mean unbounded agreement
-        while stack:
-            frame = stack[-1]
-            if got is not None and got > frame[2]:
-                frame[2] = got
-            if frame[1]:
-                key = frame[1].pop()
-                break
-            stack.pop()
-            got = memo[frame[0]] = min(cap, 1 + frame[2])
-        else:
-            return got
+    level = {(w, x)}
+    for depth in range(cap):
+        level = {(a, b) for u, v in level if u[0] == v[0] for a in after(u) for b in after(v)}
+        if not level:
+            return depth
+    return cap
 
 
 def prefix_suffix_condition(words: Iterable[str]) -> bool:

@@ -58,6 +58,13 @@ def test_parse_errors_carry_line_numbers():
         parse_word_set_file("alphabet: 01\n", "f")
 
 
+@pytest.mark.parametrize("alphabet", ["#0", "0 1", "0\t1"])
+def test_parse_rejects_alphabets_the_format_cannot_carry(alphabet):
+    # '#' would turn words into comments, whitespace is stripped from words
+    with pytest.raises(WordSetFileError, match="f:2: alphabet .* carries only ASCII"):
+        parse_word_set_file("# c\nalphabet: %s\n00\n" % alphabet, "f")
+
+
 def test_format_parse_round_trip():
     text = format_word_set_file("01", ["0", "01", "0"])
     alphabet, words = parse_word_set_file(text)
@@ -282,6 +289,19 @@ def test_gen_tmn_counts(capsys):
     code, _, err = run(capsys, "gen", "tmn", "--m", "2", "--n", "4")
     assert code == EXIT_BAD_INPUT
     assert "error" in err
+
+
+@pytest.mark.parametrize("alphabet", ["#0", "0\u00e9", "0 1"])
+def test_gen_refuses_alphabets_the_format_cannot_carry(capsys, monkeypatch, alphabet):
+    code, out, err = run(capsys, "gen", "tmn", "--m", "2", "--n", "3", "--alphabet", alphabet)
+    assert (code, out) == (EXIT_BAD_INPUT, "")
+    assert err.startswith("error: gen: alphabet %r" % alphabet)
+    # the family has 11 words; a file that dropped the '#' ones must not be measured
+    from frobword.families import two_length_family
+
+    text = format_word_set_file(alphabet, two_length_family(2, 3, alphabet).words.words)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert run(capsys, "measure", "-")[:2] == (EXIT_BAD_INPUT, "")
 
 
 def test_gen_chain_preserves_duplicates(tmp_path, capsys):

@@ -308,3 +308,7 @@ def test_two_length_cofinite_budget():
     fam = two_length_family(3, 5)
     with pytest.raises(BudgetExceeded):
         two_length_cofinite(fam.words, 3, 5, budget=10)
+    # the borderline length is 3 * 2**2 + 2 = 14: a budget of exactly 2**14 words suffices
+    assert two_length_cofinite(fam.words, 3, 5, budget=2**14) is True
+    with pytest.raises(BudgetExceeded, match="16384 words of length 14"):
+        two_length_cofinite(fam.words, 3, 5, budget=2**14 - 1)

@@ -88,6 +88,55 @@ def test_suite_report_failure_paths():
     assert len(r.failures()) == 1
 
 
+# planted faults: these pairs get their predicted size moved by one, for the
+# star and (in this order) the concatenation; commuting pairs included
+FAULTS = {
+    ("0", "01"): -1,
+    ("01", "0"): -1,
+    ("00", "000"): -1,
+    ("1", "1"): -1,
+    ("01", "011"): -1,
+    ("0", "1"): -1,
+    ("0", "00"): 1,
+    ("1", "10"): 1,
+}
+
+# the rows suite_pairs(max_len=3, agreement_total=2) gives under those faults
+FAULTY_PAIRS_ROWS = [
+    ('star {0,00}', '3', '2', False),
+    ('star {0,01}', '<= 2', '3', False),
+    ('star {1,1}', '1', '2', False),
+    ('star {00,000}', '3', '4', False),
+    ('star bound, 85 non-commuting pairs', '0 violations', '1 violations', False),
+    ('star bound tightness', '>= 1 pair attains it', '40 attain (first {0,1})', True),
+    ('star commuting formula, 20 pairs', '0 mismatches', '3 mismatches', False),
+    ('concat 0* 1*', '<= 2', '3', False),
+    ('concat 0* 00*', '3', '2', False),
+    ('concat 0* 01*', '<= 4', '5', False),
+    ('concat 1* 1*', '1', '2', False),
+    ('concat 00* 000*', '3', '4', False),
+    ('concat 01* 0*', '<= 3', '4', False),
+    ('concat bound, 170 non-commuting pairs', '0 violations', '3 violations', False),
+    ('concat bound tightness', '>= 1 pair attains it', '27 attain (first 0* 001*)', True),
+    ('concat commuting formula, 26 pairs', '0 mismatches', '3 mismatches', False),
+    ('agreement bound, 2 non-commuting pairs', '0 violations', '0 violations', True),
+]
+
+
+def test_suite_pairs_reports_planted_faults(monkeypatch):
+    def off_by_one(real):
+        def faulty(w, x):
+            pred, claim = real(w, x)
+            return pred + FAULTS.get((w, x), 0), claim
+
+        return faulty
+
+    for name in ("predicted_pair_star_sc", "predicted_pair_concat_sc"):
+        monkeypatch.setattr(verify, name, off_by_one(getattr(verify, name)))
+    r = suite_pairs(max_len=3, agreement_total=2)
+    assert [(row.instance, row.predicted, row.actual, row.ok) for row in r.rows] == FAULTY_PAIRS_ROWS
+
+
 @pytest.mark.parametrize(
     "suite, kwargs",
     [

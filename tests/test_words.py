@@ -65,16 +65,17 @@ def test_agreement_known_values():
 
 
 def test_agreement_matches_stream_oracle():
-    pool = [
-        "".join(p)
-        for n in range(1, 5)
-        for p in itertools.product("01", repeat=n)
-    ]
-    for w in pool:
-        for x in pool:
-            if commutes(w, x):
-                continue
-            assert fine_wilf_agreement(w, x) == stream_agreement(w, x)
+    for alphabet, max_len in (("01", 5), ("012", 3)):
+        pool = [
+            "".join(p)
+            for n in range(1, max_len + 1)
+            for p in itertools.product(alphabet, repeat=n)
+        ]
+        for w in pool:
+            for x in pool:
+                if commutes(w, x):
+                    continue
+                assert fine_wilf_agreement(w, x) == stream_agreement(w, x)
 
 
 def test_agreement_bound():

@@ -50,6 +50,7 @@ from frobword.starlang import (
     member_star,
     minimal_chain_dfa,
     minimal_star_dfa,
+    pending_star_dfa,
     trie_star_nfa,
     two_length_cofinite,
     window_star_dfa,

@@ -196,6 +196,8 @@ def cmd_measure(args) -> int:
     want_chain = args.chain or not args.star
     xs_order = file_words
     if args.order is not None:
+        if "," in alphabet:
+            raise ValueError("--order is comma-separated, so it cannot be given for alphabet %r" % alphabet)
         xs_order = [w for w in args.order.split(",") if w]
 
     cap = _resolve_cap(args)

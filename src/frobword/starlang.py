@@ -204,58 +204,84 @@ def window_star_dfa(s: WordSet, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
     new position starting from a previously marked split point.  The input
     so far is in the closure iff 0 is marked, so those states accept.
 
-    A state is coded as the integer ``recent_id << (window + 1) | marks``,
-    with mark ``a`` as bit ``a`` and ``recent_id`` numbering the distinct
-    recent windows as they are reached.  The moves of each window are
-    worked out once, per symbol: the next window's code, ``hits`` (the
-    offsets from which a set word ends at the new symbol) and ``keep`` (the
-    shifted marks still within reach), so a transition is a few bit
-    operations and one dict lookup.
-
     Only reachable states are built, breadth-first in symbol order, and the
     automaton is complete by construction.  Reachable states never exceed
-    ``window_state_bound(len(alphabet), max_word_length)``.
+    ``window_state_bound(len(alphabet), max_word_length)``.  The search is
+    the one ``pending_star_dfa`` runs, here with one class per state.
     """
+    return _window_search(s, state_cap, pending=False)[0]
+
+
+def pending_star_dfa(s: WordSet, state_cap: int = DEFAULT_STATE_CAP) -> tuple[Dfa, int]:
+    """The window acceptor with its states merged by pending suffixes, and
+    the number of window states (which the cap counts).  The pending
+    suffixes of ``(recent, marks)`` are its ``recent[-a:]`` (``""`` at mark 0)
+    that are proper prefixes of a set word.  They fix the state's future, so
+    the merge is exact: one state per subset ``determinize(trie_star_nfa(s))`` reaches."""
+    return _window_search(s, state_cap, pending=True)
+
+
+def _window_search(s: WordSet, state_cap: int, pending: bool) -> tuple[Dfa, int]:
+    """Breadth-first search of the window states, coded ``recent_id <<
+    (window + 1) | marks`` with mark ``a`` as bit ``a``.  Each window's moves
+    are worked out once per symbol: the next window's code, ``keep`` (the
+    shifted marks still in reach), ``hits`` (the offsets from which a word
+    ends at the new symbol), and its ``live`` marks and ``nodes``.  A reached
+    state's class key is ``nodes[lm.bit_length()] | lm``, ``lm = marks &
+    live``: its own code, or with ``pending`` its pending marks under the id
+    of its longest pending suffix.  A class's first state writes its row."""
     words = frozenset(s.words)
-    window = s.max_word_length - 1
-    shift = window + 1
+    prefixes = dict.fromkeys(x[:j] for x in s.words for j in range(len(x)))
+    prefix_ids = {u: i for i, u in enumerate(prefixes)}
+    shift = s.max_word_length
     low = (1 << shift) - 1
-    recent_ids: dict[str, int] = {"": 0}
     recents = [""]
-    moves: list[list[tuple[int, int, int]]] = []
+    labels = {"": (0, 1 if pending else low, [0] * (shift + 1))}
+    moves: list[list[tuple[int, int, int, int, list[int]]]] = []
     ids: dict[int, int] = {1: 0}
     states = [1]
+    state_classes = [0]
+    classes: dict[int, int] = {1: 0}
     rows: list[tuple[int, ...]] = []
-    for code in states:
+    for code, cls in zip(states, state_classes):  # both grow as states are reached
         rid = code >> shift
         while len(moves) <= rid:
             recent = recents[len(moves)]
             per_symbol = []
             for c in s.alphabet:
                 ext = recent + c
-                nrecent = ext if len(ext) <= window else ext[1:]
-                if nrecent not in recent_ids:
-                    recent_ids[nrecent] = len(recents)
+                nrecent = ext if len(ext) < shift else ext[1:]
+                if nrecent not in labels:
+                    base = len(recents) << shift
                     recents.append(nrecent)
-                hits = sum(1 << a for a in range(len(ext)) if ext[-(a + 1):] in words)
+                    live, nodes = low, [base] * (shift + 1)
+                    if pending:  # a dead state (lm == 0) keys under the id of ""
+                        suffixes = [nrecent[len(nrecent) - a:] for a in range(len(nrecent) + 1)]
+                        live = sum(1 << a for a, u in enumerate(suffixes) if u in prefix_ids)
+                        nodes = [0] + [prefix_ids.get(u, 0) << shift for u in suffixes]
+                    labels[nrecent] = (base, live, nodes)
+                base, live, nodes = labels[nrecent]
                 keep = (1 << (len(nrecent) + 1)) - 2
-                per_symbol.append((recent_ids[nrecent] << shift, keep, hits))
+                hits = sum(1 << a for a in range(len(ext)) if ext[-(a + 1):] in words)
+                per_symbol.append((base, keep, hits, live, nodes))
             moves.append(per_symbol)
         marks = code & low
         row = []
-        for base, keep, hits in moves[rid]:
+        for base, keep, hits, live, nodes in moves[rid]:
             state = base | ((marks << 1) & keep) | (1 if marks & hits else 0)
             target = ids.get(state)
             if target is None:
                 if len(states) >= state_cap:
                     raise CapExceeded("window construction exceeded %d states" % state_cap)
-                target = len(states)
-                ids[state] = target
                 states.append(state)
+                lm = state & live
+                target = ids[state] = classes.setdefault(nodes[lm.bit_length()] | lm, len(classes))
+                state_classes.append(target)
             row.append(target)
-        rows.append(tuple(row))
-    finals = frozenset(j for j, code in enumerate(states) if code & 1)
-    return Dfa(s.alphabet, tuple(rows), 0, finals)
+        if cls == len(rows):
+            rows.append(tuple(row))
+    finals = frozenset(j for j, key in enumerate(classes) if key & 1)
+    return Dfa(s.alphabet, tuple(rows), 0, finals), len(states)
 
 
 def chain_nfa(xs: Sequence[str], alphabet: str) -> Nfa:
@@ -299,8 +325,9 @@ def chain_cofinite(xs: Sequence[str], alphabet: str) -> bool:
 
 
 def minimal_star_dfa(s: WordSet, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
-    """Minimal complete DFA for the star closure."""
-    return minimize(window_star_dfa(s, state_cap))
+    """Minimal complete DFA for the star closure, minimized from
+    ``pending_star_dfa``."""
+    return minimize(pending_star_dfa(s, state_cap)[0])
 
 
 def minimal_chain_dfa(
@@ -350,29 +377,23 @@ def measure_all(
 ) -> MeasureReport:
     """Compute all measures for one word set.
 
-    ``xs_order`` fixes the order of the chain of stars and may repeat
-    words; it must use exactly the words of the set.  It defaults to the
-    set's canonical order.  ``star=False`` or ``chain=False`` skips that
-    side entirely (the corresponding fields come back ``None``).
+    The star side is one ``pending_star_dfa`` search, minimized; its window
+    state count is reported as ``window_dfa_states``.  ``xs_order`` fixes
+    the order of the chain of stars and may repeat words; it must use
+    exactly the words of the set.  It defaults to the set's canonical
+    order.  ``star=False`` or ``chain=False`` skips that side entirely (the
+    corresponding fields come back ``None``).
     """
     if xs_order is None:
         xs_order = list(s.words)
     if set(xs_order) != set(s.words):
         raise ValueError("chain order must use exactly the words of the set")
 
-    star_cof = None
-    longest = None
-    longest_wit = None
-    count = None
-    full = None
-    star_sc = None
-    window_states = None
-    star_min = None
+    star_cof = longest = longest_wit = count = full = star_sc = window_states = star_min = None
     if star:
-        window = window_star_dfa(s, state_cap)
-        star_min = minimize(window)
+        quotient, window_states = pending_star_dfa(s, state_cap)
+        star_min = minimize(quotient)
         star_sc = star_min.state_count
-        window_states = window.state_count
         star_cof = is_cofinite(star_min)
         full = False
         if star_cof:
@@ -385,12 +406,7 @@ def measure_all(
                 assert longest_wit is not None
                 longest = len(longest_wit)
 
-    chain_cof = None
-    chain_sc = None
-    chain_longest = None
-    chain_wit = None
-    chain_full = None
-    chain_min = None
+    chain_cof = chain_sc = chain_longest = chain_wit = chain_full = chain_min = None
     if chain:
         chain_min = minimal_chain_dfa(xs_order, s.alphabet, state_cap)
         chain_sc = chain_min.state_count

@@ -127,6 +127,16 @@ def test_measure_order_flag(tmp_path, capsys):
     assert "order" in err
 
 
+def test_measure_order_refused_when_the_alphabet_has_a_comma(tmp_path, capsys):
+    f = write_ws(tmp_path, "c.ws", "alphabet: ,0\n,\n0\n")
+    code, out, _ = run(capsys, "measure", f, "--no-timing")
+    assert code == EXIT_OK and json.loads(out)["k"] == 2
+    for order in (",,0", "0,,"):
+        code, out, err = run(capsys, "measure", f, "--order", order, "--no-timing")
+        assert (code, out) == (EXIT_BAD_INPUT, "")
+        assert "--order" in err and "cannot be given for alphabet ',0'" in err
+
+
 def test_measure_byte_stable(tmp_path, capsys):
     f = write_ws(tmp_path, "p.ws", "alphabet: 01\n0\n01\n11\n")
     _, out1, _ = run(capsys, "measure", f, "--no-timing")
@@ -223,6 +233,8 @@ def test_measure_dot_debug_flag(tmp_path, capsys):
 
 
 def test_measure_dot_reuses_the_measured_dfas(tmp_path, capsys, monkeypatch):
+    # measure builds each side once (the star side by its merged window
+    # search, never the full window acceptor) and writes those DFAs
     from frobword import starlang
     from frobword.automata import to_dot
 
@@ -241,12 +253,12 @@ def test_measure_dot_reuses_the_measured_dfas(tmp_path, capsys, monkeypatch):
 
         return build
 
-    for name in ("window_star_dfa", "chain_nfa"):
+    for name in ("pending_star_dfa", "window_star_dfa", "chain_nfa"):
         monkeypatch.setattr(starlang, name, counted(name))
     prefix = str(tmp_path / "g")
     code, _, _ = run(capsys, "measure", f, "--no-timing", "--dot", prefix)
     assert code == EXIT_OK
-    assert sorted(calls) == ["chain_nfa", "window_star_dfa"]
+    assert sorted(calls) == ["chain_nfa", "pending_star_dfa"]
     assert (tmp_path / "g.star.dot").read_text() == want_star
     assert (tmp_path / "g.chain.dot").read_text() == want_chain
 
@@ -416,6 +428,38 @@ PINNED_TABLES = {
 def test_verify_tables_are_byte_stable(capsys, suite):
     args, digest = PINNED_TABLES[suite]
     code, out, _ = run(capsys, "verify", suite, "--seed", "7", *args)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (EXIT_OK, digest)
+
+
+# sha256 of ``measure - --no-timing`` stdout on the ``gen`` output of each argv
+PINNED_MEASURES = {
+    "st-6": (["st", "--t", "6"], "c2b7fcca313dc1244e0d4dab7e3fd28ae8c78ce2e9abb80ebbcfb03ee2bbf5f5"),
+    "st-7": (["st", "--t", "7"], "4ec605c48ffb9b14f5e8f4c7f5ed7dd22141b1748ea8f789c3a1dc077ed31df1"),
+    "st-8": (["st", "--t", "8"], "6fc5c07978d92bc46c5473a3de31985bc3beca9e668491263d60963d625162e8"),
+    "st-9": (["st", "--t", "9"], "bf8c3a0b6c35029519089889bf4b780342339431c9ca11dcf4b6d69b32483856"),
+    "tmn-3-5": (
+        ["tmn", "--m", "3", "--n", "5"],
+        "e19f84e3f22f91d78308ceb7118e72dd951b54fc8ab3c4f2d2fc4e3ac50d4adc",
+    ),
+    "tmn-4-5": (
+        ["tmn", "--m", "4", "--n", "5"],
+        "eda6f30161bb9b0a23302e9206740304cbb609a79a3f7618c498e9e6182c8c45",
+    ),
+    "tmn-2-3-012": (
+        ["tmn", "--m", "2", "--n", "3", "--alphabet", "012"],
+        "2085f6932a1bd8f2bcd9d9680c729fefe9d2db6a8dc2416bd37d3d3f5075a5e3",
+    ),
+    "chain-3": (["chain", "--t", "3"], "644b200fabd7b3ed82068ff7d1cacad4cf9bdfcfd4c823eaf851fedfc50c954c"),
+}
+
+
+@pytest.mark.parametrize("item", list(PINNED_MEASURES))
+def test_measure_reports_are_byte_stable(capsys, monkeypatch, item):
+    gen_args, digest = PINNED_MEASURES[item]
+    code, text, _ = run(capsys, "gen", *gen_args)
+    assert code == EXIT_OK
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, _ = run(capsys, "measure", "-", "--no-timing")
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (EXIT_OK, digest)
 
 

@@ -26,6 +26,7 @@ from frobword.starlang import (
     member_star,
     minimal_chain_dfa,
     minimal_star_dfa,
+    pending_star_dfa,
     trie_star_nfa,
     two_length_cofinite,
     window_star_dfa,
@@ -124,6 +125,30 @@ def window_sets(draw):
 def test_window_dfa_matches_reference_table(s):
     d = window_star_dfa(s)
     assert (d.transitions, d.initial, d.finals) == window_star_table(s.alphabet, s.words)
+
+
+def _built_or_cap_message(build, s, cap):
+    try:
+        build(s, cap)
+    except CapExceeded as exc:
+        return str(exc)
+    return None
+
+
+@given(window_sets())
+def test_pending_merge_matches_trie_subsets_and_window(s):
+    quotient, window_states = pending_star_dfa(s)
+    window = window_star_dfa(s)
+    # one merged state per pending-suffix set, that is per trie subset
+    assert quotient.state_count == determinize(trie_star_nfa(s)).state_count
+    assert window_states == window.state_count
+    assert minimize(quotient) == minimize(window)
+    for cap in (window_states, window_states - 1):
+        outcomes = {_built_or_cap_message(b, s, cap) for b in (window_star_dfa, pending_star_dfa)}
+        # a one-state window acceptor never grows, so no cap stops it
+        grows = cap < window_states and window_states > 1
+        want = "window construction exceeded %d states" % cap if grows else None
+        assert outcomes == {want}
 
 
 @pytest.mark.parametrize("words", [["0", "01", "11"], ["00", "000"], ["01", "10", "111"]])

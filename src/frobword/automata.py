@@ -12,7 +12,8 @@ other.  Word counts use plain Python integers, so they never overflow.
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 
 DEFAULT_STATE_CAP = 1_000_000
@@ -31,118 +32,157 @@ def _check_alphabet(alphabet: str) -> None:
         raise ValueError("alphabet must be a nonempty string of distinct characters")
 
 
-@dataclass(frozen=True)
+def _check_range(values, n: int, what: str) -> None:
+    if values and (min(values) < 0 or max(values) >= n):
+        bad = min(values) if min(values) < 0 else max(values)
+        raise ValueError("%s %d out of range" % (what, bad))
+
+
+def _symbols(alphabet: str, word: str) -> list[int]:
+    sym = {c: i for i, c in enumerate(alphabet)}
+    try:
+        return [sym[c] for c in word]
+    except KeyError as exc:
+        raise ValueError("symbol %r is not in the alphabet %r" % (exc.args[0], alphabet)) from None
+
+
+def _edge_masks(n: int, alphabet: str, edges) -> tuple[tuple[int, ...], ...]:
+    """Successor bitmasks of ``(source, symbol, target)`` edges; an edge
+    outside the ``n`` states or the alphabet is a ``ValueError`` naming it."""
+    sym = {c: i for i, c in enumerate(alphabet)}
+    rows = [[0] * len(alphabet) for _ in range(n)]
+    for edge in edges:
+        s, c, t = edge
+        if not (0 <= s < n and 0 <= t < n and c in sym):
+            raise ValueError("edge %r is outside %d states over %r" % (edge, n, alphabet))
+        rows[s][sym[c]] |= 1 << t
+    return tuple(map(tuple, rows))
+
+
+def _new(cls, *fields, **flags):
+    """An ``Nfa`` or ``Dfa`` from its stored fields, which ``_set`` checks
+    with one ``min``/``max`` per column: how the constructions make them."""
+    fa = object.__new__(cls)
+    fa._set(*fields, **flags)
+    return fa
+
+
+@dataclass(frozen=True, init=False)
 class Nfa:
     """Nondeterministic automaton without epsilon moves.
 
-    ``transitions[s][i]`` is the frozenset of successors of state ``s`` on
-    the ``i``-th alphabet symbol.  ``initial`` is a set of start states.
+    ``masks[s][i]`` is the successor set of state ``s`` on the ``i``-th
+    alphabet symbol, as a bitmask; ``transitions[s][i]`` is the same set as
+    a frozenset (a derived, read-only view).  ``initial`` is a set of start
+    states.  ``Nfa(alphabet, transitions, initial, finals)`` takes rows of
+    successor sets, checks them and converts them.
     """
 
     alphabet: str
-    transitions: tuple[tuple[frozenset[int], ...], ...]
+    masks: tuple[tuple[int, ...], ...]
     initial: frozenset[int]
     finals: frozenset[int]
 
-    def __post_init__(self) -> None:
-        _check_alphabet(self.alphabet)
-        n = len(self.transitions)
-        if n == 0:
+    def __init__(self, alphabet: str, transitions, initial, finals) -> None:
+        if any(len(row) != len(alphabet) for row in transitions):
+            raise ValueError("every state needs a successor set per symbol")
+        edges = [
+            (s, c, t) for s, row in enumerate(transitions) for c, ts in zip(alphabet, row) for t in ts
+        ]
+        masks = _edge_masks(len(transitions), alphabet, edges)
+        self._set(alphabet, masks, frozenset(initial), frozenset(finals))
+
+    def _set(self, alphabet, masks, initial, finals) -> None:
+        _check_alphabet(alphabet)
+        if not masks:
             raise ValueError("automaton needs at least one state")
-        if not self.initial:
+        if not initial:
             raise ValueError("at least one initial state is required")
-        for row in self.transitions:
-            if len(row) != len(self.alphabet):
-                raise ValueError("every state needs a successor set per symbol")
-            for targets in row:
-                for t in targets:
-                    if not 0 <= t < n:
-                        raise ValueError("transition target %d out of range" % t)
-        for s in self.initial | self.finals:
-            if not 0 <= s < n:
-                raise ValueError("state %d out of range" % s)
+        if set(map(len, masks)) != {len(alphabet)}:
+            raise ValueError("every state needs a successor set per symbol")
+        if min(map(min, masks)) < 0 or max(map(max, masks)) >> len(masks):
+            raise ValueError("transition target out of range")
+        _check_range(initial, len(masks), "initial state")
+        _check_range(finals, len(masks), "final state")
+        vars(self).update(alphabet=alphabet, masks=masks, initial=initial, finals=finals)
 
     @property
     def state_count(self) -> int:
-        return len(self.transitions)
+        return len(self.masks)
+
+    @cached_property
+    def transitions(self) -> tuple[tuple[frozenset[int], ...], ...]:
+        bits = range(self.state_count)
+        return tuple(tuple(frozenset(t for t in bits if m >> t & 1) for m in r) for r in self.masks)
 
     @classmethod
-    def from_edges(
-        cls,
-        state_count: int,
-        alphabet: str,
-        edges,
-        initial,
-        finals,
-    ) -> "Nfa":
+    def from_edges(cls, state_count: int, alphabet: str, edges, initial, finals) -> "Nfa":
         """Build from an iterable of ``(source, symbol, target)`` triples."""
-        sym = {c: i for i, c in enumerate(alphabet)}
-        rows: list[list[set[int]]] = [
-            [set() for _ in alphabet] for _ in range(state_count)
-        ]
-        for s, c, t in edges:
-            rows[s][sym[c]].add(t)
-        frozen = tuple(
-            tuple(frozenset(cell) for cell in row) for row in rows
-        )
-        return cls(alphabet, frozen, frozenset(initial), frozenset(finals))
+        masks = _edge_masks(state_count, alphabet, edges)
+        return _new(cls, alphabet, masks, frozenset(initial), frozenset(finals))
 
     def accepts(self, word: str) -> bool:
         """Membership by direct subset simulation, independent of any DFA."""
-        sym = {c: i for i, c in enumerate(self.alphabet)}
         current = set(self.initial)
-        for c in word:
-            i = sym[c]
-            nxt: set[int] = set()
-            for s in current:
-                nxt |= self.transitions[s][i]
-            current = nxt
-            if not current:
-                return False
+        for i in _symbols(self.alphabet, word):
+            current = {t for s in current for t in self.transitions[s][i]}
         return bool(current & self.finals)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Dfa:
     """Complete deterministic automaton.
 
-    ``transitions[s][i]`` is the single successor of state ``s`` on the
-    ``i``-th alphabet symbol.  ``minimal`` is set only by ``minimize`` and
-    promises that all states are reachable and pairwise distinguishable.
+    ``cols[i][s]`` is the single successor of state ``s`` on the ``i``-th
+    alphabet symbol; ``transitions[s][i]`` reads the same table by rows (a
+    derived, read-only view).  ``Dfa(alphabet, transitions, initial,
+    finals)`` takes the rows, checks them and converts them.  ``minimal`` is
+    set only by ``minimize`` and promises that all states are reachable and
+    pairwise distinguishable.  ``numbered``, set by the constructions, promises
+    that they are all reachable and numbered breadth-first from ``initial``
+    = 0 in symbol order, so ``minimize`` need not renumber them.
     """
 
     alphabet: str
-    transitions: tuple[tuple[int, ...], ...]
+    cols: tuple[tuple[int, ...], ...]
     initial: int
     finals: frozenset[int]
     minimal: bool = False
+    numbered: bool = field(default=False, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        _check_alphabet(self.alphabet)
-        n = len(self.transitions)
+    def __init__(self, alphabet: str, transitions, initial: int, finals, minimal=False) -> None:
+        if any(len(row) != len(alphabet) for row in transitions):
+            raise ValueError("DFA must be complete: one successor per symbol")
+        self._set(alphabet, tuple(zip(*transitions)), initial, frozenset(finals), minimal)
+
+    def _set(self, alphabet, cols, initial, finals, minimal=False, numbered=False) -> None:
+        _check_alphabet(alphabet)
+        n = len(cols[0]) if cols else 0
         if n == 0:
             raise ValueError("automaton needs at least one state")
-        for row in self.transitions:
-            if len(row) != len(self.alphabet):
-                raise ValueError("DFA must be complete: one successor per symbol")
-            for t in row:
-                if not 0 <= t < n:
-                    raise ValueError("transition target %d out of range" % t)
-        if not 0 <= self.initial < n:
-            raise ValueError("initial state out of range")
-        for s in self.finals:
-            if not 0 <= s < n:
-                raise ValueError("final state %d out of range" % s)
+        if len(cols) != len(alphabet) or set(map(len, cols)) != {n}:
+            raise ValueError("DFA must be complete: one successor per symbol")
+        for col in cols:
+            _check_range(col, n, "transition target")
+        if not 0 <= initial < n:
+            raise ValueError("initial state %d out of range" % initial)
+        _check_range(finals, n, "final state")
+        vars(self).update(
+            alphabet=alphabet, cols=cols, initial=initial, finals=finals, minimal=minimal, numbered=numbered
+        )
 
     @property
     def state_count(self) -> int:
-        return len(self.transitions)
+        return len(self.cols[0])
+
+    @cached_property
+    def transitions(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(zip(*self.cols))
 
     def accepts(self, word: str) -> bool:
-        sym = {c: i for i, c in enumerate(self.alphabet)}
         s = self.initial
-        for c in word:
-            s = self.transitions[s][sym[c]]
+        for i in _symbols(self.alphabet, word):
+            s = self.cols[i][s]
         return s in self.finals
 
 
@@ -162,40 +202,27 @@ def determinize(nfa: Nfa, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
     the rows of the members of ``S & irregular``, the only ones extracted.
     """
     nsym = len(nfa.alphabet)
-    succ = [[0] * nsym for _ in range(nfa.state_count)]
+    succ = nfa.masks
     shift = [0] * nsym
     irregular = 0
-    for s in range(nfa.state_count):
-        for i in range(nsym):
-            m = 0
-            for t in nfa.transitions[s][i]:
-                m |= 1 << t
-            succ[s][i] = m
+    for s, row in enumerate(succ):
+        for a, m in enumerate(row):
             if m == 2 << s:
-                shift[i] |= 1 << s
+                shift[a] |= 1 << s
             elif m:
                 irregular |= 1 << s
-    final_mask = 0
-    for s in nfa.finals:
-        final_mask |= 1 << s
-    start = 0
-    for s in nfa.initial:
-        start |= 1 << s
-
+    final_mask = sum(1 << s for s in nfa.finals)
+    start = sum(1 << s for s in nfa.initial)
     ids: dict[int, int] = {start: 0}
     masks: list[int] = [start]
-    rows: list[tuple[int, ...]] = []
-    i = 0
-    while i < len(masks):
-        mask = masks[i]
-        i += 1
+    flat: list[int] = []  # the table row by row
+    for mask in masks:  # grows as subsets are reached
         members = []
         rest = mask & irregular
         while rest:
             low = rest & -rest
             rest ^= low
             members.append(succ[low.bit_length() - 1])
-        row = []
         for a in range(nsym):
             nm = (mask & shift[a]) << 1
             for r in members:
@@ -203,36 +230,22 @@ def determinize(nfa: Nfa, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
             target = ids.get(nm)
             if target is None:
                 if len(masks) >= state_cap:
-                    raise CapExceeded(
-                        "subset construction exceeded %d states" % state_cap
-                    )
-                target = len(masks)
-                ids[nm] = target
+                    raise CapExceeded("subset construction exceeded %d states" % state_cap)
+                target = ids[nm] = len(masks)
                 masks.append(nm)
-            row.append(target)
-        rows.append(tuple(row))
+            flat.append(target)
     finals = frozenset(j for j, m in enumerate(masks) if m & final_mask)
-    return Dfa(nfa.alphabet, tuple(rows), 0, finals)
-
-
-def _reachable(d: Dfa) -> set[int]:
-    seen = {d.initial}
-    queue = deque([d.initial])
-    while queue:
-        s = queue.popleft()
-        for t in d.transitions[s]:
-            if t not in seen:
-                seen.add(t)
-                queue.append(t)
-    return seen
+    cols = tuple(tuple(flat[a::nsym]) for a in range(nsym))
+    return _new(Dfa, nfa.alphabet, cols, 0, finals, numbered=True)
 
 
 def minimize(d: Dfa) -> Dfa:
     """Minimal complete DFA for the same language.
 
     Restricts to reachable states, numbered breadth-first from the initial
-    state in symbol order, and refines the accept/reject split by Moore
-    rounds: each round numbers the signatures (own class, class of each
+    state in symbol order (a table ``numbered`` so is used as it is),
+    and refines the accept/reject split by Moore rounds over the columns:
+    each round numbers the signatures (own class, class of each
     successor).  Moore can need about as many rounds as there are states,
     so after ``2 * n.bit_length()`` rounds a Hopcroft loop finishes the
     refinement.  Classes are numbered in order of their first state, which
@@ -241,17 +254,19 @@ def minimize(d: Dfa) -> Dfa:
     """
     if d.minimal:
         return d
-    trans = d.transitions
-    ids = {d.initial: 0}
-    order = [d.initial]
-    for s in order:
-        for t in trans[s]:
-            if t not in ids:
-                ids[t] = len(order)
-                order.append(t)
-    n = len(order)
-    cols = [[ids[trans[s][a]] for s in order] for a in range(len(d.alphabet))]
-    cls = [s in d.finals for s in order]
+    cols, finals = d.cols, d.finals
+    if not d.numbered:
+        ids = {d.initial: 0}
+        order = [d.initial]
+        for s in order:
+            for col in cols:
+                if col[s] not in ids:
+                    ids[col[s]] = len(order)
+                    order.append(col[s])
+        cols = tuple([ids[col[s]] for s in order] for col in cols)
+        finals = frozenset(ids[s] for s in finals if s in ids)
+    n = len(cols[0])
+    cls = list(map(finals.__contains__, range(n)))
     count = len(set(cls))
     for _ in range(2 * n.bit_length()):
         # each state is labelled with the least state of its new class
@@ -265,10 +280,10 @@ def minimize(d: Dfa) -> Dfa:
         cls = _hopcroft(cols, cls)
 
     reps = list(dict.fromkeys(cls))
-    newid = {r: i for i, r in enumerate(reps)}
-    rows = tuple(tuple(newid[cls[col[r]]] for col in cols) for r in reps)
-    finals = frozenset(i for i, r in enumerate(reps) if order[r] in d.finals)
-    return Dfa(d.alphabet, rows, 0, finals, minimal=True)
+    index = list(map(dict(zip(reps, range(len(reps)))).__getitem__, cls))  # state -> class
+    out = tuple(tuple(map(index.__getitem__, map(col.__getitem__, reps))) for col in cols)
+    finals = frozenset(map(index.__getitem__, finals))
+    return _new(Dfa, d.alphabet, out, 0, finals, minimal=True, numbered=True)
 
 
 def _hopcroft(cols: list[list[int]], cls: list[int]) -> list[int]:
@@ -326,41 +341,42 @@ def _hopcroft(cols: list[list[int]], cls: list[int]) -> list[int]:
 def complement(d: Dfa) -> Dfa:
     """Swap accepting and rejecting states; completeness makes this exact."""
     finals = frozenset(range(d.state_count)) - d.finals
-    return Dfa(d.alphabet, d.transitions, d.initial, finals, minimal=d.minimal)
+    return _new(Dfa, d.alphabet, d.cols, d.initial, finals, d.minimal, d.numbered)
 
 
-def _live_states(d: Dfa) -> set[int]:
-    """States on some path initial -> final (reachable and co-reachable)."""
-    reach = _reachable(d)
+def _live_order(d: Dfa) -> list[int]:
+    """The states on some path initial -> final (reachable and co-reachable),
+    in topological order; ``NotFinite`` on a cycle among them."""
+    reach = [d.initial]
+    seen = {d.initial}
+    for s in reach:  # grows as states are reached
+        for col in d.cols:
+            if col[s] not in seen:
+                seen.add(col[s])
+                reach.append(col[s])
     back: dict[int, set[int]] = defaultdict(set)
-    for s in reach:
-        for t in d.transitions[s]:
-            if t in reach:
-                back[t].add(s)
-    co = set(d.finals & reach)
-    queue = deque(co)
-    while queue:
-        s = queue.popleft()
+    for col in d.cols:
+        for s in reach:
+            back[col[s]].add(s)
+    co = list(d.finals & seen)
+    live = set(co)
+    for s in co:  # grows as states are reached
         for p in back[s]:
-            if p not in co:
-                co.add(p)
-                queue.append(p)
-    return reach & co
-
-
-def _topo_order(d: Dfa, live: set[int]) -> list[int]:
-    """Topological order of the live subgraph; NotFinite on a cycle."""
-    indeg = {s: 0 for s in live}
-    for s in live:
-        for t in d.transitions[s]:
-            if t in live:
-                indeg[t] += 1
+            if p not in live:
+                live.add(p)
+                co.append(p)
+    indeg = dict.fromkeys(live, 0)
+    for col in d.cols:
+        for s in live:
+            if col[s] in live:
+                indeg[col[s]] += 1
     queue = deque(sorted(s for s in live if indeg[s] == 0))
     out = []
     while queue:
         s = queue.popleft()
         out.append(s)
-        for t in d.transitions[s]:
+        for col in d.cols:
+            t = col[s]
             if t in live:
                 indeg[t] -= 1
                 if indeg[t] == 0:
@@ -377,10 +393,8 @@ def is_cofinite(d: Dfa) -> bool:
     that language is finite iff the complement automaton, trimmed to states
     that lie on some accepting path, has no cycle.
     """
-    c = complement(d)
-    live = _live_states(c)
     try:
-        _topo_order(c, live)
+        _live_order(complement(d))
     except NotFinite:
         return False
     return True
@@ -393,31 +407,17 @@ def longest_word(d: Dfa) -> str | None:
     when no word is accepted at all.  Lexicographic order follows the
     declared symbol order of the alphabet.
     """
-    live = _live_states(d)
-    if not live:
+    best: dict[int, int] = {}  # live state -> length of its longest word
+    for s in reversed(_live_order(d)):
+        best[s] = max([best[col[s]] + 1 for col in d.cols if col[s] in best], default=0)
+    if not best:
         return None
-    order = _topo_order(d, live)
-    best: dict[int, int] = {}
-    for s in reversed(order):
-        cand = 0 if s in d.finals else -1
-        for t in d.transitions[s]:
-            if t in live and best[t] + 1 > cand:
-                cand = best[t] + 1
-        best[s] = cand
-    # live states always reach a final, so best is nonnegative on live
     out = []
     s = d.initial
-    remaining = best[s]
-    while remaining > 0:
-        for a in range(len(d.alphabet)):
-            t = d.transitions[s][a]
-            if t in live and best[t] == remaining - 1:
-                out.append(d.alphabet[a])
-                s = t
-                remaining -= 1
-                break
-        else:  # pragma: no cover - would mean the DP table is inconsistent
-            raise AssertionError("longest-path reconstruction failed")
+    while best[s] > 0:  # step to the first symbol whose target keeps the longest word
+        a = next(a for a, col in enumerate(d.cols) if best.get(col[s]) == best[s] - 1)
+        out.append(d.alphabet[a])
+        s = d.cols[a][s]
     return "".join(out)
 
 
@@ -427,17 +427,9 @@ def count_words(d: Dfa) -> int:
     Counts accepting paths through the trimmed acyclic graph; arbitrary
     precision since the result grows like the number of paths.
     """
-    live = _live_states(d)
-    if not live:
-        return 0
-    order = _topo_order(d, live)
-    total: dict[int, int] = {}
-    for s in reversed(order):
-        n = 1 if s in d.finals else 0
-        for t in d.transitions[s]:
-            if t in live:
-                n += total[t]
-        total[s] = n
+    total: dict[int, int] = {}  # live state -> number of its words
+    for s in reversed(_live_order(d)):
+        total[s] = (s in d.finals) + sum(total[col[s]] for col in d.cols if col[s] in total)
     return total.get(d.initial, 0)
 
 
@@ -457,7 +449,7 @@ def distinguishing_word(a: Dfa, b: Dfa) -> str | None:
         if (s in a.finals) != (t in b.finals):
             return word
         for i, c in enumerate(a.alphabet):
-            nxt = (a.transitions[s][i], b.transitions[t][i])
+            nxt = (a.cols[i][s], b.cols[i][t])
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append((nxt, word + c))
@@ -477,8 +469,8 @@ def state_complexity(d: Dfa) -> int:
 def has_dead_state(d: Dfa) -> bool:
     """Whether the automaton contains a rejecting sink state."""
     return any(
-        s not in d.finals and all(t == s for t in row)
-        for s, row in enumerate(d.transitions)
+        s not in d.finals and all(col[s] == s for col in d.cols)
+        for s in range(d.state_count)
     )
 
 

@@ -25,6 +25,7 @@ from frobword.automata import (
     Dfa,
     Nfa,
     _check_alphabet,
+    _new,
     complement,
     count_words,
     determinize,
@@ -171,19 +172,14 @@ def trie_star_nfa(s: WordSet) -> Nfa:
     back to the root.  State count is the number of distinct proper
     prefixes, at most ``total_symbols - word_count + 1``.
     """
-    node_ids: dict[str, int] = {"": 0}
-    edges: list[tuple[int, str, int]] = []
+    sym = {c: i for i, c in enumerate(s.alphabet)}
+    prefixes = dict.fromkeys(x[:j] for x in s.words for j in range(len(x)))
+    ids = dict(zip(prefixes, range(len(prefixes))))
+    masks = [[0] * len(sym) for _ in ids]
     for x in s.words:
-        v = 0
         for j, c in enumerate(x):
-            if j == len(x) - 1:
-                edges.append((v, c, 0))
-            else:
-                prefix = x[: j + 1]
-                u = node_ids.setdefault(prefix, len(node_ids))
-                edges.append((v, c, u))
-                v = u
-    return Nfa.from_edges(len(node_ids), s.alphabet, set(edges), {0}, {0})
+            masks[ids[x[:j]]][sym[c]] |= 1 << (ids[x[: j + 1]] if j + 1 < len(x) else 0)
+    return _new(Nfa, s.alphabet, tuple(map(tuple, masks)), frozenset({0}), frozenset({0}))
 
 
 def window_state_bound(alphabet_size: int, max_len: int) -> int:
@@ -230,7 +226,7 @@ def _window_search(s: WordSet, state_cap: int, pending: bool) -> tuple[Dfa, int]
     state's class key is ``nodes[lm.bit_length()] | lm``, ``lm = marks &
     live``: its own code, or with ``pending`` its pending marks under the id
     of its longest pending suffix.  A class's first state writes its row."""
-    words = frozenset(s.words)
+    words, sigma = frozenset(s.words), len(s.alphabet)
     prefixes = dict.fromkeys(x[:j] for x in s.words for j in range(len(x)))
     prefix_ids = {u: i for i, u in enumerate(prefixes)}
     shift = s.max_word_length
@@ -242,7 +238,7 @@ def _window_search(s: WordSet, state_cap: int, pending: bool) -> tuple[Dfa, int]
     states = [1]
     state_classes = [0]
     classes: dict[int, int] = {1: 0}
-    rows: list[tuple[int, ...]] = []
+    flat: list[int] = []  # the quotient's rows, one after another
     for code, cls in zip(states, state_classes):  # both grow as states are reached
         rid = code >> shift
         while len(moves) <= rid:
@@ -278,10 +274,11 @@ def _window_search(s: WordSet, state_cap: int, pending: bool) -> tuple[Dfa, int]
                 target = ids[state] = classes.setdefault(nodes[lm.bit_length()] | lm, len(classes))
                 state_classes.append(target)
             row.append(target)
-        if cls == len(rows):
-            rows.append(tuple(row))
+        if cls * sigma == len(flat):
+            flat += row
     finals = frozenset(j for j, key in enumerate(classes) if key & 1)
-    return Dfa(s.alphabet, tuple(rows), 0, finals), len(states)
+    cols = tuple(tuple(flat[a::sigma]) for a in range(sigma))
+    return _new(Dfa, s.alphabet, cols, 0, finals, numbered=True), len(states)
 
 
 def chain_nfa(xs: Sequence[str], alphabet: str) -> Nfa:
@@ -298,15 +295,18 @@ def chain_nfa(xs: Sequence[str], alphabet: str) -> Nfa:
         raise ValueError("empty chains are not meaningful")
     if not all(xs):
         raise ValueError("chain words must be nonempty")
+    if not set("".join(xs)) <= set(alphabet):
+        raise ValueError("chain words use characters outside %r" % alphabet)
+    sym = {c: i for i, c in enumerate(alphabet)}
     anchors = [end - 1 for end in accumulate(map(len, xs))]
-    edges: set[tuple[int, str, int]] = set()
+    masks = [[0] * len(alphabet) for _ in range(anchors[-1] + 1)]
     for j, x in enumerate(xs):
         entry = anchors[j] + 1 - len(x)
         for anchor in anchors[: j + 1]:
-            edges.add((anchor, x[0], entry))
+            masks[anchor][sym[x[0]]] |= 1 << entry
         for k in range(1, len(x)):
-            edges.add((entry + k - 1, x[k], entry + k))
-    return Nfa.from_edges(anchors[-1] + 1, alphabet, edges, {anchors[0]}, set(anchors))
+            masks[entry + k - 1][sym[x[k]]] |= 1 << (entry + k)
+    return _new(Nfa, alphabet, tuple(map(tuple, masks)), frozenset(anchors[:1]), frozenset(anchors))
 
 
 def chain_cofinite(xs: Sequence[str], alphabet: str) -> bool:

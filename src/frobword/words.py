@@ -59,33 +59,28 @@ def fine_wilf_agreement(w: str, x: str) -> int | float:
     One stream starts with block ``w``, the other with block ``x``; after
     that each may continue with either block, chosen to keep the streams
     agreeing as long as possible.  Commuting blocks agree forever
-    (``INFINITE``).  Otherwise the classic periodicity argument caps the
-    agreement below ``len(w) + len(x) - gcd(len(w), len(x))``, and the
-    search below is additionally clamped at ``len(w) + len(x)`` so it
-    terminates no matter what.
+    (``INFINITE``); otherwise the agreement is ``lcp(wx, xw)``, which the
+    periodicity argument of Fine and Wilf caps below ``len(w) + len(x) -
+    gcd(len(w), len(x))``.
 
-    The search is level by level: it keeps the set of residual pairs (the
-    unread rest of each stream's current block) reachable after ``d``
-    matched letters, and stops at the first ``d`` where no pair reads a
-    common letter next; a residual of one letter is followed by a fresh
-    ``w`` or ``x``.  Each residual is a nonempty suffix of ``w`` or ``x``,
-    so a level holds at most ``(len(w) + len(x))**2`` pairs, and nothing
-    recurses, so long blocks are safe.
+    Proof: the streams ``wx...`` and ``xw...`` agree on ``lcp(wx, xw)``
+    letters, fewer than ``len(w) + len(x)`` as the pair does not commute.
+    No two streams agree longer, by induction on ``len(w) + len(x)``.  If
+    neither word is a prefix of the other, every pair of streams splits at
+    ``lcp(w, x) = lcp(wx, xw)``.  If ``x = wy``, strip the common ``w``:
+    every stream ``w{w,x}^omega`` lies in ``w w{w,y}^omega`` and every
+    stream ``x{w,x}^omega`` in ``w y{w,y}^omega``; the pair ``(w, y)`` does
+    not commute either, and ``lcp(wx, xw) = len(w) + lcp(wy, yw)``.  The
+    case ``w = xy`` is symmetric.
     """
     _require_nonempty(w, x)
-    if w + x == x + w:
+    wx, xw = w + x, x + w
+    if wx == xw:
         return INFINITE
-
-    def after(r: str) -> tuple[str, ...]:
-        return (r[1:],) if len(r) > 1 else (w, x)
-
-    cap = len(w) + len(x)
-    level = {(w, x)}
-    for depth in range(cap):
-        level = {(a, b) for u, v in level if u[0] == v[0] for a in after(u) for b in after(v)}
-        if not level:
-            return depth
-    return cap
+    i = 0
+    while wx[i] == xw[i]:  # the two differ somewhere, as they have one length
+        i += 1
+    return i
 
 
 def prefix_suffix_condition(words: Iterable[str]) -> bool:

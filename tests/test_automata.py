@@ -2,6 +2,7 @@
 machines, cross-checked against brute enumeration and a naive refinement
 oracle."""
 
+import re
 from math import gcd
 
 import pytest
@@ -51,6 +52,66 @@ def test_nfa_accepts_by_simulation():
     assert n.accepts("111")
     assert not n.accepts("10")
     assert not n.accepts("")
+
+
+NONE = frozenset()
+
+
+@pytest.mark.parametrize(
+    "alphabet, rows, initial, finals",
+    [
+        ("01", (), 0, NONE),  # no state at all
+        ("01", ((0, 0), (0,)), 0, NONE),  # a short row
+        ("01", ((0, 1),), 0, NONE),  # a target past the last state
+        ("01", ((0, -1),), 0, NONE),  # a negative target
+        ("01", ((0, 0),), 1, NONE),  # the initial state
+        ("01", ((0, 0),), 0, frozenset({1})),  # a final state
+        ("01", ((0, 0),), 0, frozenset({-1})),
+        ("00", ((0, 0),), 0, NONE),  # a repeated letter
+        ("", ((),), 0, NONE),  # no letter
+    ],
+)
+def test_dfa_constructor_rejects_malformed_tables(alphabet, rows, initial, finals):
+    with pytest.raises(ValueError):
+        Dfa(alphabet, rows, initial, finals)
+
+
+ONE = frozenset({0})
+
+
+@pytest.mark.parametrize(
+    "alphabet, rows, initial, finals",
+    [
+        ("01", (), ONE, NONE),
+        ("01", ((NONE, NONE), (NONE,)), ONE, NONE),
+        ("01", ((frozenset({1}), NONE),), ONE, NONE),
+        ("01", ((frozenset({-1}), NONE),), ONE, NONE),
+        ("01", ((NONE, NONE),), frozenset({1}), NONE),  # a start state
+        ("01", ((NONE, NONE),), frozenset({-1}), NONE),
+        ("01", ((NONE, NONE),), NONE, NONE),  # no start state
+        ("01", ((NONE, NONE),), ONE, frozenset({1})),  # a final state
+        ("01", ((NONE, NONE),), ONE, frozenset({-1})),
+        ("00", ((NONE, NONE),), ONE, NONE),
+    ],
+)
+def test_nfa_constructor_rejects_malformed_tables(alphabet, rows, initial, finals):
+    with pytest.raises(ValueError):
+        Nfa(alphabet, rows, initial, finals)
+
+
+@pytest.mark.parametrize("edge", [(-1, "0", 0), (2, "0", 0), (0, "2", 0), (0, "0", 2), (0, "0", -1)])
+def test_from_edges_names_an_edge_outside_the_automaton(edge):
+    with pytest.raises(ValueError, match=re.escape(repr(edge))):
+        Nfa.from_edges(2, "01", [(0, "1", 1), edge], {0}, {0})
+
+
+def test_accepts_refuses_symbols_outside_the_alphabet():
+    nfa = Nfa.from_edges(1, "01", [(0, "0", 0)], {0}, {0})
+    for fa in (nfa, determinize(nfa)):
+        assert fa.accepts("00") and not fa.accepts("1")
+        for word in ("02", "12", "2"):
+            with pytest.raises(ValueError, match="'2'"):
+                fa.accepts(word)
 
 
 def test_determinize_agrees_with_nfa():

@@ -431,6 +431,14 @@ def test_verify_tables_are_byte_stable(capsys, suite):
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (EXIT_OK, digest)
 
 
+def test_verify_pairs_agreement_rows_past_the_benchmark_totals(capsys):
+    # 179,886 non-commuting pairs with |w| + |x| up to 13; the digest was
+    # recorded from the residual-pair search that the closed form replaced
+    code, out, _ = run(capsys, "verify", "pairs", "--max-len", "2", "--agreement-total", "13")
+    digest = "5d4c7451f9b5fe04eb242e23712428c8401fe42e20460f2a2eee7a3c7dfa5e3e"
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (EXIT_OK, digest)
+
+
 # sha256 of ``measure - --no-timing`` stdout on the ``gen`` output of each argv
 PINNED_MEASURES = {
     "st-6": (["st", "--t", "6"], "c2b7fcca313dc1244e0d4dab7e3fd28ae8c78ce2e9abb80ebbcfb03ee2bbf5f5"),

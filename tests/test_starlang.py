@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from frobword.automata import (
     DEFAULT_STATE_CAP,
     CapExceeded,
+    Dfa,
     determinize,
     equivalent,
     is_cofinite,
@@ -149,6 +150,21 @@ def test_pending_merge_matches_trie_subsets_and_window(s):
         grows = cap < window_states and window_states > 1
         want = "window construction exceeded %d states" % cap if grows else None
         assert outcomes == {want}
+
+
+@given(window_sets())
+def test_constructions_number_their_states_breadth_first(s):
+    # minimize keeps a ``numbered`` table as it is, so each construction's table
+    # must be its own breadth-first numbering with every state reached
+    chain = determinize(chain_nfa(list(s.words), s.alphabet))
+    window = window_star_dfa(s)
+    for d in (pending_star_dfa(s)[0], window, determinize(trie_star_nfa(s)), chain, minimize(window)):
+        assert d.numbered
+        order = [d.initial]
+        for q in order:
+            order += [t for t in dict.fromkeys(d.transitions[q]) if t not in order]
+        assert order == list(range(d.state_count))
+        assert minimize(d) == minimize(Dfa(d.alphabet, d.transitions, d.initial, d.finals))
 
 
 @pytest.mark.parametrize("words", [["0", "01", "11"], ["00", "000"], ["01", "10", "111"]])

@@ -1,7 +1,6 @@
 """Scaled-down runs of the verification suites (the full desk-scale runs
 live in the acceptance tests)."""
 
-from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -9,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from frobword import verify
+from frobword.automata import Dfa
 from frobword.starlang import PreconditionViolated
 from frobword.verify import (
     _levels,
@@ -234,7 +234,8 @@ def test_star_fault_reports_the_least_differing_word(monkeypatch):
 
     def faulty(d):
         m = real(d)
-        m = replace(m, finals=m.finals - {max(m.finals - {m.initial}, default=m.initial)})
+        finals = m.finals - {max(m.finals - {m.initial}, default=m.initial)}
+        m = Dfa(m.alphabet, m.transitions, m.initial, finals, minimal=True)
         built.append(m)
         return m
 

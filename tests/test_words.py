@@ -4,7 +4,7 @@ predicted automaton sizes for pairs."""
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from frobword.words import (
@@ -76,6 +76,28 @@ def test_agreement_matches_stream_oracle():
                 if commutes(w, x):
                     continue
                 assert fine_wilf_agreement(w, x) == stream_agreement(w, x)
+
+
+@st.composite
+def non_commuting_pairs(draw):
+    """Pairs over ``01`` or ``012`` with ``|w| + |x| <= 14``; half of them
+    make ``x`` a power of ``w`` followed by a tail, so the prefix case of the
+    closed form, where the streams share whole blocks, comes up often."""
+    alphabet = draw(st.sampled_from(["01", "012"]))
+    w = draw(st.text(alphabet, min_size=1, max_size=13))
+    if draw(st.booleans()):
+        w = w[: draw(st.integers(1, 4))]
+        x = w * draw(st.integers(1, (14 - len(w)) // len(w)))
+        x += draw(st.text(alphabet, max_size=14 - len(w) - len(x)))
+    else:
+        x = draw(st.text(alphabet, min_size=1, max_size=14 - len(w)))
+    assume(w + x != x + w)
+    return (x, w) if draw(st.booleans()) else (w, x)
+
+
+@given(non_commuting_pairs())
+def test_agreement_closed_form_matches_stream_oracle(pair):
+    assert fine_wilf_agreement(*pair) == stream_agreement(*pair)
 
 
 def test_agreement_bound():

@@ -240,20 +240,29 @@ def determinize(nfa: Nfa, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
 
 
 def minimize(d: Dfa) -> Dfa:
-    """Minimal complete DFA for the same language.
-
-    Restricts to reachable states, numbered breadth-first from the initial
-    state in symbol order (a table ``numbered`` so is used as it is),
-    and refines the accept/reject split by Moore rounds over the columns:
-    each round numbers the signatures (own class, class of each
-    successor).  Moore can need about as many rounds as there are states,
-    so after ``2 * n.bit_length()`` rounds a Hopcroft loop finishes the
-    refinement.  Classes are numbered in order of their first state, which
-    is the breadth-first order of the quotient, so equal languages built
-    the same way yield identical tables.
-    """
+    """Minimal complete DFA for the same language: the quotient by
+    ``_refine``'s classes, numbered in order of their first state, so equal
+    languages built the same way yield identical tables.  When every class
+    is a single state, the table is its own quotient and is kept as it is."""
     if d.minimal:
         return d
+    cols, finals, cls, count = _refine(d)
+    if count < len(cls):
+        reps = list(dict.fromkeys(cls))
+        index = list(map(dict(zip(reps, range(count))).__getitem__, cls))  # state -> class
+        cols = tuple(tuple(map(index.__getitem__, map(col.__getitem__, reps))) for col in cols)
+        finals = frozenset(map(index.__getitem__, finals))
+    return _new(Dfa, d.alphabet, cols, 0, finals, minimal=True, numbered=True)
+
+
+def _refine(d: Dfa) -> tuple[tuple[tuple[int, ...], ...], frozenset[int], list, int]:
+    """``d``'s reachable columns and finals, numbered breadth-first in symbol
+    order (a ``numbered`` table as it is), the coarsest partition of their
+    states (``cls[s]`` the least state of ``s``'s class) and its class count.
+    Moore rounds refine the accept/reject split by the signatures (own class,
+    class of each successor) until a round splits nothing or every class is
+    a single state (``cls`` is then unused); Moore can need about as many
+    rounds as there are states, so Hopcroft finishes after ``2 * n.bit_length()``."""
     cols, finals = d.cols, d.finals
     if not d.numbered:
         ids = {d.initial: 0}
@@ -263,13 +272,14 @@ def minimize(d: Dfa) -> Dfa:
                 if col[s] not in ids:
                     ids[col[s]] = len(order)
                     order.append(col[s])
-        cols = tuple([ids[col[s]] for s in order] for col in cols)
+        cols = tuple(tuple(map(ids.__getitem__, map(col.__getitem__, order))) for col in cols)
         finals = frozenset(ids[s] for s in finals if s in ids)
     n = len(cols[0])
     cls = list(map(finals.__contains__, range(n)))
     count = len(set(cls))
     for _ in range(2 * n.bit_length()):
-        # each state is labelled with the least state of its new class
+        if count == n:  # singletons cannot split
+            break
         sig: dict[tuple, int] = {}
         keys = zip(cls, *[map(cls.__getitem__, col) for col in cols])
         cls = list(map(sig.setdefault, keys, range(n)))
@@ -277,16 +287,13 @@ def minimize(d: Dfa) -> Dfa:
             break
         count = len(sig)
     else:
-        cls = _hopcroft(cols, cls)
-
-    reps = list(dict.fromkeys(cls))
-    index = list(map(dict(zip(reps, range(len(reps)))).__getitem__, cls))  # state -> class
-    out = tuple(tuple(map(index.__getitem__, map(col.__getitem__, reps))) for col in cols)
-    finals = frozenset(map(index.__getitem__, finals))
-    return _new(Dfa, d.alphabet, out, 0, finals, minimal=True, numbered=True)
+        if count < n:
+            cls = _hopcroft(cols, cls)
+            count = len(set(cls))
+    return cols, finals, cls, count
 
 
-def _hopcroft(cols: list[list[int]], cls: list[int]) -> list[int]:
+def _hopcroft(cols: tuple[tuple[int, ...], ...], cls: list) -> list[int]:
     """Coarsest refinement of the partition ``cls`` (state -> label) that
     every column respects; the worklist starts with every block."""
     n = len(cls)
@@ -323,16 +330,11 @@ def _hopcroft(cols: list[list[int]], cls: list[int]) -> list[int]:
                 parts.append(rest)
                 for s in rest:
                     part_of[s] = ni
-                if in_work[pi]:
-                    work.append(ni)
-                    in_work.append(True)
-                elif len(inter) <= len(rest):
-                    work.append(pi)
-                    in_work[pi] = True
-                    in_work.append(False)
-                else:
-                    work.append(ni)
-                    in_work.append(True)
+                # a block already queued queues its new half; else the smaller half
+                add = pi if not in_work[pi] and len(inter) <= len(rest) else ni
+                in_work.append(False)
+                in_work[add] = True
+                work.append(add)
 
     low = [min(p) for p in parts]
     return [low[i] for i in part_of]
@@ -462,8 +464,8 @@ def equivalent(a: Dfa, b: Dfa) -> bool:
 
 
 def state_complexity(d: Dfa) -> int:
-    """Size of the minimal complete DFA, rejecting sink included."""
-    return minimize(d).state_count
+    """Size of the minimal complete DFA, rejecting sink included: ``_refine``'s class count."""
+    return d.state_count if d.minimal else _refine(d)[3]
 
 
 def has_dead_state(d: Dfa) -> bool:

@@ -268,6 +268,19 @@ def test_minimize_deep_unary_star_uses_hopcroft_finish(a, monkeypatch):
     assert equivalent(d, m)
 
 
+def test_minimize_last_split_in_the_final_budgeted_round_needs_no_hopcroft(monkeypatch):
+    # a unary path to a final loop: round r splits off the state r words
+    # from it, so the 10 states are singletons after round 8, the last of
+    # the 2 * (10).bit_length() budget, and no confirming round is needed
+    finishes = []
+    monkeypatch.setattr(automata, "_hopcroft", lambda cols, cls: finishes.append(cls))
+    d = Dfa("0", tuple((min(s + 1, 9),) for s in range(10)), 0, frozenset({9}))
+    m = minimize(d)
+    assert finishes == []
+    assert m.state_count == state_complexity(d) == 10
+    assert m.transitions == d.transitions and m.minimal
+
+
 @st.composite
 def deep_dfas(draw):
     """Random DFAs whose symbol 0 walks a long path; finals only near its
@@ -395,3 +408,28 @@ def test_determinize_matches_subset_oracle(case, data):
         assert str(caught.value) == str(exc)
     else:
         assert determinize(nfa, cap) == d
+
+
+@given(st.one_of(random_dfas(), stepping_nfas().map(lambda case: determinize(Nfa.from_edges(*case)))))
+def test_state_complexity_counts_the_classes_minimize_keeps(d):
+    # random_dfas has unreachable states and is not numbered; determinize is
+    assert state_complexity(d) == minimize(d).state_count == moore_state_count(
+        d.transitions, d.initial, d.finals
+    )
+
+
+@given(stepping_nfas())
+def test_minimize_keeps_a_numbered_minimal_table_as_it_is(case):
+    d = determinize(Nfa.from_edges(*case))
+    m = minimize(d)
+    assert d.numbered and m.minimal
+    assert (m.cols is d.cols) == (m.state_count == d.state_count)
+
+
+def test_minimize_of_a_numbered_minimal_table_equals_it():
+    # the words ending in 1: two subset states, told apart by the empty word
+    d = determinize(Nfa.from_edges(2, "01", [(0, "0", 0), (0, "1", 0), (0, "1", 1)], [0], [1]))
+    assert d.numbered and not d.minimal and d.state_count == 2
+    m = minimize(d)
+    assert m == Dfa(d.alphabet, d.transitions, d.initial, d.finals, minimal=True)
+    assert m.cols is d.cols

@@ -269,11 +269,12 @@ def test_minimize_deep_unary_star_uses_hopcroft_finish(a, monkeypatch):
 
 
 def test_minimize_last_split_in_the_final_budgeted_round_needs_no_hopcroft(monkeypatch):
-    # a unary path to a final loop: round r splits off the state r words
-    # from it, so the 10 states are singletons after round 8, the last of
-    # the 2 * (10).bit_length() budget, and no confirming round is needed
+    # a unary path into a final loop: round r splits off the state r steps
+    # before the loop, so the 10 states are singletons after round 8, the
+    # last of the 2 * (10).bit_length() budget; no confirming round is needed
     finishes = []
-    monkeypatch.setattr(automata, "_hopcroft", lambda cols, cls: finishes.append(cls))
+    hopcroft = automata._hopcroft
+    monkeypatch.setattr(automata, "_hopcroft", lambda cols, cls: finishes.append(cls) or hopcroft(cols, cls))
     d = Dfa("0", tuple((min(s + 1, 9),) for s in range(10)), 0, frozenset({9}))
     m = minimize(d)
     assert finishes == []

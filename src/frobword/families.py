@@ -58,9 +58,9 @@ class StarBlowupFamily:
 def star_blowup_family(t: int) -> StarBlowupFamily:
     """The blowup set for parameter ``t >= 2``.
 
-    It contains the single letter 0, the words made of t ones with a zero
-    inserted at each interior position but the first, and the word 0 (t-1
-    ones) 0.  All words but the first have length t+1.
+    It contains the single letter 0, the t-1 words made of t ones with a
+    zero inserted at one interior position (one word per position), and the
+    word 0 (t-1 ones) 0.  All words but the first have length t+1.
     """
     if t < 2:
         raise PreconditionViolated("the family needs t >= 2")

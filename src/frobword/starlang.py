@@ -202,10 +202,23 @@ def window_star_dfa(s: WordSet, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
 
     Only reachable states are built, breadth-first in symbol order, and the
     automaton is complete by construction.  Reachable states never exceed
-    ``window_state_bound(len(alphabet), max_word_length)``.  The search is
-    the one ``pending_star_dfa`` runs, here with one class per state.
+    ``window_state_bound(len(alphabet), max_word_length)``.  The states are
+    those ``pending_star_dfa`` counts; the rows come from a second pass over
+    the moves of each window.
     """
-    return _window_search(s, state_cap, pending=False)[0]
+    codes, moves = _window_search(s, state_cap)
+    shift = s.max_word_length
+    low = (1 << shift) - 1
+    ids = dict(zip(codes, range(len(codes))))
+    flat: list[int] = []  # the table row by row
+    for code in codes:
+        marks = code & low
+        for base, keep, hits in moves[code >> shift]:
+            flat.append(ids[base | ((marks << 1) & keep) | (1 if marks & hits else 0)])
+    sigma = len(s.alphabet)
+    cols = tuple(tuple(flat[a::sigma]) for a in range(sigma))
+    finals = frozenset(j for j, code in enumerate(codes) if code & 1)
+    return _new(Dfa, s.alphabet, cols, 0, finals, numbered=True)
 
 
 def pending_star_dfa(s: WordSet, state_cap: int = DEFAULT_STATE_CAP) -> tuple[Dfa, int]:
@@ -213,33 +226,29 @@ def pending_star_dfa(s: WordSet, state_cap: int = DEFAULT_STATE_CAP) -> tuple[Df
     the number of window states (which the cap counts).  The pending
     suffixes of ``(recent, marks)`` are its ``recent[-a:]`` (``""`` at mark 0)
     that are proper prefixes of a set word.  They fix the state's future, so
-    the merge is exact: one state per subset ``determinize(trie_star_nfa(s))`` reaches."""
-    return _window_search(s, state_cap, pending=True)
+    the merge is exact, and the merged states are the subsets of trie states
+    that ``determinize(trie_star_nfa(s))`` reaches: the quotient is built
+    that way, after the window states are counted without building a row."""
+    count = len(_window_search(s, state_cap)[0])
+    return determinize(trie_star_nfa(s), state_cap), count
 
 
-def _window_search(s: WordSet, state_cap: int, pending: bool) -> tuple[Dfa, int]:
-    """Breadth-first search of the window states, coded ``recent_id <<
-    (window + 1) | marks`` with mark ``a`` as bit ``a``.  Each window's moves
-    are worked out once per symbol: the next window's code, ``keep`` (the
-    shifted marks still in reach), ``hits`` (the offsets from which a word
-    ends at the new symbol), and its ``live`` marks and ``nodes``.  A reached
-    state's class key is ``nodes[lm.bit_length()] | lm``, ``lm = marks &
-    live``: its own code, or with ``pending`` its pending marks under the id
-    of its longest pending suffix.  A class's first state writes its row."""
-    words, sigma = frozenset(s.words), len(s.alphabet)
-    prefixes = dict.fromkeys(x[:j] for x in s.words for j in range(len(x)))
-    prefix_ids = {u: i for i, u in enumerate(prefixes)}
+def _window_search(s: WordSet, state_cap: int) -> tuple[list[int], list[list[tuple[int, int, int]]]]:
+    """Breadth-first search of the window states, coded ``recent_id << shift
+    | marks`` with mark ``a`` as bit ``a``.  Returns the reached codes in
+    order and, per window id, its moves: for each symbol the next window's
+    id shifted into place, ``keep`` (the shifted marks still in reach) and
+    ``hits`` (the offsets from which a word ends at the new symbol).  Each
+    window's moves are worked out once, with one slice per word length."""
+    index = _length_index(s.words)
     shift = s.max_word_length
     low = (1 << shift) - 1
     recents = [""]
-    labels = {"": (0, 1 if pending else low, [0] * (shift + 1))}
-    moves: list[list[tuple[int, int, int, int, list[int]]]] = []
-    ids: dict[int, int] = {1: 0}
-    states = [1]
-    state_classes = [0]
-    classes: dict[int, int] = {1: 0}
-    flat: list[int] = []  # the quotient's rows, one after another
-    for code, cls in zip(states, state_classes):  # both grow as states are reached
+    recent_ids = {"": 0}
+    moves: list[list[tuple[int, int, int]]] = []
+    codes = [1]
+    seen = {1}
+    for code in codes:  # grows as codes are reached
         rid = code >> shift
         while len(moves) <= rid:
             recent = recents[len(moves)]
@@ -247,38 +256,22 @@ def _window_search(s: WordSet, state_cap: int, pending: bool) -> tuple[Dfa, int]
             for c in s.alphabet:
                 ext = recent + c
                 nrecent = ext if len(ext) < shift else ext[1:]
-                if nrecent not in labels:
-                    base = len(recents) << shift
+                nid = recent_ids.setdefault(nrecent, len(recents))
+                if nid == len(recents):
                     recents.append(nrecent)
-                    live, nodes = low, [base] * (shift + 1)
-                    if pending:  # a dead state (lm == 0) keys under the id of ""
-                        suffixes = [nrecent[len(nrecent) - a:] for a in range(len(nrecent) + 1)]
-                        live = sum(1 << a for a, u in enumerate(suffixes) if u in prefix_ids)
-                        nodes = [0] + [prefix_ids.get(u, 0) << shift for u in suffixes]
-                    labels[nrecent] = (base, live, nodes)
-                base, live, nodes = labels[nrecent]
                 keep = (1 << (len(nrecent) + 1)) - 2
-                hits = sum(1 << a for a in range(len(ext)) if ext[-(a + 1):] in words)
-                per_symbol.append((base, keep, hits, live, nodes))
+                hits = sum(1 << (n - 1) for n, bucket in index.items() if ext[-n:] in bucket)
+                per_symbol.append((nid << shift, keep, hits))
             moves.append(per_symbol)
         marks = code & low
-        row = []
-        for base, keep, hits, live, nodes in moves[rid]:
+        for base, keep, hits in moves[rid]:
             state = base | ((marks << 1) & keep) | (1 if marks & hits else 0)
-            target = ids.get(state)
-            if target is None:
-                if len(states) >= state_cap:
+            if state not in seen:
+                if len(codes) >= state_cap:
                     raise CapExceeded("window construction exceeded %d states" % state_cap)
-                states.append(state)
-                lm = state & live
-                target = ids[state] = classes.setdefault(nodes[lm.bit_length()] | lm, len(classes))
-                state_classes.append(target)
-            row.append(target)
-        if cls * sigma == len(flat):
-            flat += row
-    finals = frozenset(j for j, key in enumerate(classes) if key & 1)
-    cols = tuple(tuple(flat[a::sigma]) for a in range(sigma))
-    return _new(Dfa, s.alphabet, cols, 0, finals, numbered=True), len(states)
+                seen.add(state)
+                codes.append(state)
+    return codes, moves
 
 
 def chain_nfa(xs: Sequence[str], alphabet: str) -> Nfa:
@@ -377,8 +370,9 @@ def measure_all(
 ) -> MeasureReport:
     """Compute all measures for one word set.
 
-    The star side is one ``pending_star_dfa`` search, minimized; its window
-    state count is reported as ``window_dfa_states``.  ``xs_order`` fixes
+    The star side is ``pending_star_dfa``: the window states are counted
+    (and capped) and reported as ``window_dfa_states``, and the trie-subset
+    quotient is minimized; no window acceptor is built.  ``xs_order`` fixes
     the order of the chain of stars and may repeat words; it must use
     exactly the words of the set.  It defaults to the set's canonical
     order.  ``star=False`` or ``chain=False`` skips that side entirely (the

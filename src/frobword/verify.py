@@ -288,7 +288,7 @@ def suite_st(t_max: int = 5) -> SuiteReport:
         floor = star_blowup_sc_floor(t)
         report.add("t=%d floor" % t, ">= %d" % floor, d.state_count, d.state_count >= floor)
         if t <= 3:
-            w = minimal_star_dfa(fam.words)
+            w = minimize(window_star_dfa(fam.words))
             report.add("t=%d window route" % t, d.state_count, w.state_count, w.state_count == d.state_count)
     return report
 

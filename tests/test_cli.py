@@ -194,8 +194,9 @@ def test_measure_state_cap_env_and_flag(tmp_path, capsys, monkeypatch):
     fam = write_ws(tmp_path, "s4.ws", capsys.readouterr().out)
     monkeypatch.setenv("FROBWORD_STATE_CAP", "4")
     code = cli_main(["measure", fam, "--star", "--no-timing"])
-    capsys.readouterr()
+    err = capsys.readouterr().err
     assert code == EXIT_CAP
+    assert err == "error: state cap exceeded: window construction exceeded 4 states\n"
     code = cli_main(["measure", fam, "--star", "--no-timing", "--state-cap", "100000"])
     out = capsys.readouterr().out
     assert code == EXIT_OK

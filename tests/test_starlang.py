@@ -1,6 +1,7 @@
 """Star closures of word sets: membership oracles, the two DFA routes, the
 chain of stars, and the combined measure report."""
 
+import tracemalloc
 import warnings
 from itertools import accumulate, product
 
@@ -143,6 +144,7 @@ def test_pending_merge_matches_trie_subsets_and_window(s):
     # one merged state per pending-suffix set, that is per trie subset
     assert quotient.state_count == determinize(trie_star_nfa(s)).state_count
     assert window_states == window.state_count
+    assert window_states == len(window_star_table(s.alphabet, s.words)[0])
     assert minimize(quotient) == minimize(window)
     for cap in (window_states, window_states - 1):
         outcomes = {_built_or_cap_message(b, s, cap) for b in (window_star_dfa, pending_star_dfa)}
@@ -174,6 +176,20 @@ def test_window_dfa_cap_is_a_state_count(words):
     assert window_star_dfa(s, state_cap=n).state_count == n
     with pytest.raises(CapExceeded):
         window_star_dfa(s, state_cap=n - 1)
+
+
+def test_window_count_memory_follows_the_state_count():
+    # one word of 800 zeros has 1,599 window states, each a code of about
+    # 800 bits; a label per suffix of every window would take tens of MiB
+    s = WordSet.of("0", ["0" * 800])
+    tracemalloc.start()
+    try:
+        quotient, window_states = pending_star_dfa(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (window_states, quotient.state_count) == (1599, 800)
+    assert peak < 2 * 2**20
 
 
 @given(small_sets)

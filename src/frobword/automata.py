@@ -14,7 +14,8 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress
+from operator import eq
 
 DEFAULT_STATE_CAP = 1_000_000
 
@@ -393,8 +394,16 @@ def is_cofinite(d: Dfa) -> bool:
 
     The words outside the language are exactly the words of the complement;
     that language is finite iff the complement automaton, trimmed to states
-    that lie on some accepting path, has no cycle.
+    that lie on some accepting path, has no cycle.  Every state of a
+    ``numbered`` table is reachable, so a rejecting state there that loops
+    to itself on a symbol misses infinitely many words: one scan per column
+    looks for such a loop before the full analysis runs.
     """
+    if d.numbered:
+        states = range(d.state_count)
+        for col in d.cols:
+            if not d.finals.issuperset(compress(states, map(eq, col, states))):
+                return False
     try:
         _live_order(complement(d))
     except NotFinite:

@@ -12,10 +12,11 @@ kept (the order matters for the chain of stars; the star closure ignores
 it).
 
 Exit codes: 0 success, 1 a verified invariant was violated, 2 a resource
-limit was hit (``CapExceeded``, ``MemoryError``, ``RecursionError``), 3 bad
-input (usage errors, ``OSError``, ``ValueError``); the commands raise and
-``main`` maps.  The environment variable ``FROBWORD_STATE_CAP`` overrides
-the determinization cap; the ``--state-cap`` flag overrides both.
+limit was hit (``CapExceeded``, ``BudgetExceeded``, ``MemoryError``,
+``RecursionError``), 3 bad input (usage errors, ``OSError``,
+``ValueError``); the commands raise and ``main`` maps.  The environment
+variable ``FROBWORD_STATE_CAP`` overrides the determinization cap; the
+``--state-cap`` flag overrides both.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from frobword.families import (
     star_blowup_family,
     two_length_family,
 )
-from frobword.starlang import WordSet, measure_all, member_chain, member_star
+from frobword.starlang import BudgetExceeded, WordSet, measure_all, member_chain, member_star
 from frobword import verify as verify_mod
 
 EXIT_OK = 0
@@ -394,6 +395,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except CapExceeded as exc:
         print("error: state cap exceeded: %s" % exc, file=sys.stderr)
+        return EXIT_CAP
+    except BudgetExceeded as exc:
+        print("error: budget exceeded: %s" % exc, file=sys.stderr)
         return EXIT_CAP
     except (MemoryError, RecursionError) as exc:
         what = "out of memory" if isinstance(exc, MemoryError) else "recursion too deep"

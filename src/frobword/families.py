@@ -16,7 +16,7 @@ from itertools import product
 from math import gcd
 
 from frobword.numeric import frobenius_g
-from frobword.starlang import PreconditionViolated, WordSet
+from frobword.starlang import DEFAULT_ENUM_BUDGET, BudgetExceeded, PreconditionViolated, WordSet
 
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
@@ -64,11 +64,15 @@ def star_blowup_family(t: int) -> StarBlowupFamily:
     """
     if t < 2:
         raise PreconditionViolated("the family needs t >= 2")
-    words = ["0"]
-    for i in range(t - 1):
-        words.append("1" * (t - i - 1) + "0" + "1" * (i + 1))
-    words.append("0" + "1" * (t - 1) + "0")
-    return StarBlowupFamily(t, WordSet.of("01", words))
+    return StarBlowupFamily(t, WordSet.of("01", _blowup_words(t)))
+
+
+def _blowup_words(t: int) -> list[str]:
+    """The blowup words for ``t``: 0, then the t-1 interior words with the
+    zero moving from the last interior position to the first, then the
+    closing word."""
+    interior = ["1" * (t - i - 1) + "0" + "1" * (i + 1) for i in range(t - 1)]
+    return ["0", *interior, "0" + "1" * (t - 1) + "0"]
 
 
 def star_blowup_sc(t: int) -> int:
@@ -89,19 +93,18 @@ def star_blowup_sc_floor(t: int) -> int:
 def chain_blowup_family(t: int) -> tuple[list[str], int]:
     """Word sequence whose ordered chain of stars also blows up.
 
-    Returns ``(sequence, repeats)``: one block is the word 0, then the
+    Returns ``(sequence, repeats)``: one block is the word 0, then all t-1
     interior blowup words, then the closing word, and the block is repeated
-    ``repeats = (t+1)(t-2)/2 + 2t`` times.  Meaningful from ``t >= 3``.
-    The sequence length is ``repeats * t``.
+    ``repeats = (t+1)(t-2)/2 + 2t`` times.  The block lists the words of
+    ``star_blowup_family(t)`` in the order that function builds them (the
+    zero of the interior words moving from the last interior position to
+    the first), so both families come from one word list.  Meaningful from
+    ``t >= 3``.  The sequence length is ``repeats * (t + 1)``.
     """
     if t < 3:
         raise PreconditionViolated("the chain family needs t >= 3")
-    base = star_blowup_family(t)
-    interior = ["1" * (t - i - 1) + "0" + "1" * (i + 1) for i in range(1, t - 1)]
-    closer = "0" + "1" * (t - 1) + "0"
-    block = ["0"] + interior + [closer]
     repeats = (t + 1) * (t - 2) // 2 + 2 * t
-    return block * repeats, repeats
+    return _blowup_words(t) * repeats, repeats
 
 
 @dataclass(frozen=True)
@@ -131,7 +134,9 @@ def two_length_family(short_len: int, long_len: int, alphabet: str = "01") -> Tw
     ``counter(i) + zeros + counter(i+1)`` where ``counter(i)`` is the
     ``(long_len - short_len)``-digit representation of ``i`` over the
     alphabet and ``zeros`` pads with the first letter; the seed word chains
-    every counter value once.
+    every counter value once.  ``BudgetExceeded`` is raised, before any word
+    is built, when there are more than ``DEFAULT_ENUM_BUDGET`` words of the
+    long length.
     """
     m, n = short_len, long_len
     if not (0 < m < n < 2 * m):
@@ -141,6 +146,10 @@ def two_length_family(short_len: int, long_len: int, alphabet: str = "01") -> Tw
     if len(set(alphabet)) != len(alphabet) or len(alphabet) < 2:
         raise PreconditionViolated("need an alphabet of at least two distinct letters")
     sigma = len(alphabet)
+    if sigma**n > DEFAULT_ENUM_BUDGET:
+        raise BudgetExceeded(
+            "two-length family would enumerate %d words of length %d" % (sigma**n, n)
+        )
     width = n - m
     pad = alphabet[0] * (2 * m - n)
     top = sigma**width

@@ -164,22 +164,46 @@ def _levels(alphabet: str, max_len: int, blocks) -> list[bytearray]:
     return levels
 
 
-def trie_star_nfa(s: WordSet) -> Nfa:
-    """Nondeterministic acceptor for the star closure from a shared trie.
+_ROOT = frozenset({0})
 
-    The proper prefixes of the words form a trie rooted at a single state
-    that is both initial and accepting; the last letter of each word loops
-    back to the root.  State count is the number of distinct proper
-    prefixes, at most ``total_symbols - word_count + 1``.
+
+def trie_star_nfa(s: WordSet) -> Nfa:
+    """Nondeterministic acceptor for the star closure from the suffix-merged
+    trie of the words.
+
+    The proper prefixes of the words are the trie's nodes; two of them that
+    have the same completion set ``{v : pv in S}`` have the same future, so
+    they are one state.  The root, the empty prefix, is the only initial and
+    accepting state and never merges.  Reading a symbol moves a prefix to
+    its extension's state, and to the root when the extension is a word.
+    This is the minimal acyclic automaton of the set (Revuz 1992; Daciuk,
+    Mihov, Watson and Watson 2000) with its words looped back to the root.
+    State count is at most ``total_symbols - word_count + 1``.
+
+    The states are named bottom-up, children before parents: a prefix's
+    completion set is fixed by whether it is a word and by its row of
+    successor states.  Ids count down from the top, so a prefix that keeps
+    a state of its own steps to its child as ``s -> s + 1``, the step
+    ``determinize`` runs as a shift.
     """
-    sym = {c: i for i, c in enumerate(s.alphabet)}
-    prefixes = dict.fromkeys(x[:j] for x in s.words for j in range(len(x)))
-    ids = dict(zip(prefixes, range(len(prefixes))))
-    masks = [[0] * len(sym) for _ in ids]
-    for x in s.words:
-        for j, c in enumerate(x):
-            masks[ids[x[:j]]][sym[c]] |= 1 << (ids[x[: j + 1]] if j + 1 < len(x) else 0)
-    return _new(Nfa, s.alphabet, tuple(map(tuple, masks)), frozenset({0}), frozenset({0}))
+    words, alphabet = s.words, s.alphabet
+    prefixes = dict.fromkeys([x[:j] for x in words for j in range(len(x))])  # parents first
+    state = dict.fromkeys(words, 1)  # a string's state mask; a word steps to the root, bit 0
+    keys: dict[tuple, int] = {}  # (is a word, row of successor masks) -> order found
+    top = len(prefixes) - 1
+    for p in reversed(prefixes):
+        word = p in state  # a prefix is not in ``state`` before its turn unless it is a word
+        key = [word]
+        for c in alphabet:
+            key.append(state.get(p + c, 0))
+        state[p] = 1 << top - keys.setdefault(tuple(key), len(keys)) | word
+    rows = [key[1:] for key in keys]
+    rows.reverse()  # the root, found last, first
+    gap = top + 1 - len(keys)  # the ids below the root's that merging left unused
+    if gap:
+        flat = [m >> gap | m & 1 for row in rows for m in row]
+        rows = zip(*[iter(flat)] * len(alphabet))
+    return _new(Nfa, alphabet, tuple(rows), _ROOT, _ROOT)
 
 
 def window_state_bound(alphabet_size: int, max_len: int) -> int:
@@ -222,13 +246,13 @@ def window_star_dfa(s: WordSet, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
 
 
 def pending_star_dfa(s: WordSet, state_cap: int = DEFAULT_STATE_CAP) -> tuple[Dfa, int]:
-    """The window acceptor with its states merged by pending suffixes, and
-    the number of window states (which the cap counts).  The pending
+    """``determinize(trie_star_nfa(s))``, a quotient of the window acceptor,
+    and the number of window states (which the cap counts).  The pending
     suffixes of ``(recent, marks)`` are its ``recent[-a:]`` (``""`` at mark 0)
-    that are proper prefixes of a set word.  They fix the state's future, so
-    the merge is exact, and the merged states are the subsets of trie states
-    that ``determinize(trie_star_nfa(s))`` reaches: the quotient is built
-    that way, after the window states are counted without building a row."""
+    that are proper prefixes of a set word.  They fix the state's future, and
+    so do their states in the suffix-merged trie, so the window states that
+    reach the same trie states are one subset state.  The window states are
+    counted first, without building a row."""
     count = len(_window_search(s, state_cap)[0])
     return determinize(trie_star_nfa(s), state_cap), count
 
@@ -371,12 +395,12 @@ def measure_all(
     """Compute all measures for one word set.
 
     The star side is ``pending_star_dfa``: the window states are counted
-    (and capped) and reported as ``window_dfa_states``, and the trie-subset
-    quotient is minimized; no window acceptor is built.  ``xs_order`` fixes
-    the order of the chain of stars and may repeat words; it must use
-    exactly the words of the set.  It defaults to the set's canonical
-    order.  ``star=False`` or ``chain=False`` skips that side entirely (the
-    corresponding fields come back ``None``).
+    (and capped) and reported as ``window_dfa_states``, and the subset
+    automaton of the suffix-merged trie is minimized; no window acceptor is
+    built.  ``xs_order`` fixes the order of the chain of stars and may
+    repeat words; it must use exactly the words of the set.  It defaults to
+    the set's canonical order.  ``star=False`` or ``chain=False`` skips that
+    side entirely (the corresponding fields come back ``None``).
     """
     if xs_order is None:
         xs_order = list(s.words)

@@ -419,6 +419,33 @@ def test_state_complexity_counts_the_classes_minimize_keeps(d):
     )
 
 
+@given(
+    st.one_of(
+        random_dfas(),
+        random_dfas().map(minimize),
+        stepping_nfas().map(lambda case: determinize(Nfa.from_edges(*case))),
+    ),
+    st.booleans(),
+)
+def test_is_cofinite_loop_check_agrees_with_the_full_analysis(d, flip):
+    if flip:
+        d = complement(d)
+    plain = Dfa(d.alphabet, d.transitions, d.initial, d.finals)
+    assert not plain.numbered  # so the full analysis decides it
+    assert is_cofinite(d) == is_cofinite(plain)
+
+
+def test_is_cofinite_settles_a_rejecting_loop_without_the_full_analysis(monkeypatch):
+    def unexpected(d):
+        raise AssertionError("_live_order ran")
+
+    monkeypatch.setattr(automata, "_live_order", unexpected)
+    # the words ending in 1: the rejecting start state loops on 0
+    d = determinize(Nfa.from_edges(2, "01", [(0, "0", 0), (0, "1", 0), (0, "1", 1)], [0], [1]))
+    assert d.numbered and d.cols[0][0] == 0 and 0 not in d.finals
+    assert not is_cofinite(d)
+
+
 @given(stepping_nfas())
 def test_minimize_keeps_a_numbered_minimal_table_as_it_is(case):
     d = determinize(Nfa.from_edges(*case))

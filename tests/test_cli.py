@@ -4,6 +4,7 @@ oracle queries, and the exit-code contract."""
 import hashlib
 import io
 import json
+import time
 
 import pytest
 
@@ -321,11 +322,11 @@ def test_gen_chain_preserves_duplicates(tmp_path, capsys):
     code, out, _ = run(capsys, "gen", "chain", "--t", "3")
     assert code == EXIT_OK
     _, words = parse_word_set_file(out, "gen")
-    assert len(words) == 24
-    assert len(set(words)) == 3
+    assert len(words) == 32
+    assert len(set(words)) == 4
     f = write_ws(tmp_path, "c3.ws", out)
     code, out, _ = run(capsys, "measure", f, "--chain", "--no-timing")
-    assert json.loads(out)["S_prime"] == 82
+    assert json.loads(out)["S_prime"] == 417
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +459,7 @@ PINNED_MEASURES = {
         ["tmn", "--m", "2", "--n", "3", "--alphabet", "012"],
         "2085f6932a1bd8f2bcd9d9680c729fefe9d2db6a8dc2416bd37d3d3f5075a5e3",
     ),
-    "chain-3": (["chain", "--t", "3"], "644b200fabd7b3ed82068ff7d1cacad4cf9bdfcfd4c823eaf851fedfc50c954c"),
+    "chain-3": (["chain", "--t", "3"], "311d4f2382600384f4fb597f4feb6b0b5475673a456d8bc435284b07aa01b77f"),
 }
 
 
@@ -507,6 +508,16 @@ def test_two_calls_in_one_process_match_fresh_parsers(capsys, tmp_path):
             apart.append(run(capsys, *argv))
         assert together == apart
     assert [code for code, _, _ in together] == [EXIT_BAD_INPUT, EXIT_OK]
+
+
+@pytest.mark.parametrize("command", ["gen", "verify"])
+def test_two_length_budget_exits_cap_before_enumerating(capsys, command):
+    # 2**39 words of the long length: the family refuses before building one
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, command, "tmn", "--m", "20", "--n", "39")
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (EXIT_CAP, "")
+    assert err == "error: budget exceeded: two-length family would enumerate %d words of length 39\n" % 2**39
 
 
 @pytest.mark.parametrize(

@@ -23,6 +23,7 @@ from frobword.families import (
 )
 from frobword.starlang import (
     PreconditionViolated,
+    chain_nfa,
     member_star,
     minimal_chain_dfa,
     minimal_star_dfa,
@@ -63,12 +64,24 @@ def test_star_blowup_golden_sizes():
 def test_chain_blowup_shape_and_golden():
     words, repeats = chain_blowup_family(3)
     assert repeats == 8
-    assert len(words) == 24
-    assert len(set(words)) == 3
-    assert state_complexity(minimal_chain_dfa(words, "01")) == 82
-    assert 82 >= 2 ** (3 - 2)
+    assert len(words) == 32
+    assert set(words) == set(star_blowup_family(3).words.words)
+    assert state_complexity(minimal_chain_dfa(words, "01")) == 417
+    assert 417 >= 2 ** (3 - 2)
     with pytest.raises(PreconditionViolated):
         chain_blowup_family(2)
+
+
+def test_chain_blowup_family_blows_up():
+    # the chain NFA has one state per symbol of the sequence, so a minimal
+    # DFA that only kept pace with it would show a flat ratio
+    ratios = []
+    for t in (3, 4, 5):
+        words, _ = chain_blowup_family(t)
+        size = minimal_chain_dfa(words, "01").state_count
+        assert size >= star_blowup_sc_floor(t)
+        ratios.append(size / chain_nfa(words, "01").state_count)
+    assert ratios[0] < ratios[1] < ratios[2]
 
 
 def test_two_length_shape_23():

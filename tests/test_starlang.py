@@ -6,7 +6,7 @@ import warnings
 from itertools import accumulate, product
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from frobword.automata import (
@@ -124,6 +124,19 @@ def window_sets(draw):
 
 
 @given(window_sets())
+@example(WordSet.of("01", ["0", "01", "11"]))  # "0" and "1" differ only in that "0" is a word
+def test_trie_nfa_has_one_state_per_completion_set(s):
+    # {v : pv in S} for each nonempty proper prefix p; the root is apart
+    prefixes = {x[:j] for x in s.words for j in range(1, len(x))}
+    completions = {frozenset(x[len(p) :] for x in s.words if x.startswith(p)) for p in prefixes}
+    n = trie_star_nfa(s)
+    assert n.state_count == 1 + len(completions) <= s.total_symbols - s.word_count + 1
+    closure = closure_upto(s.words, 5)
+    for w in words_upto(s.alphabet, 5):
+        assert n.accepts(w) == (w in closure)
+
+
+@given(window_sets())
 def test_window_dfa_matches_reference_table(s):
     d = window_star_dfa(s)
     assert (d.transitions, d.initial, d.finals) == window_star_table(s.alphabet, s.words)
@@ -141,7 +154,7 @@ def _built_or_cap_message(build, s, cap):
 def test_pending_merge_matches_trie_subsets_and_window(s):
     quotient, window_states = pending_star_dfa(s)
     window = window_star_dfa(s)
-    # one merged state per pending-suffix set, that is per trie subset
+    # the quotient is the subset automaton of the suffix-merged trie
     assert quotient.state_count == determinize(trie_star_nfa(s)).state_count
     assert window_states == window.state_count
     assert window_states == len(window_star_table(s.alphabet, s.words)[0])

@@ -137,11 +137,13 @@ class Dfa:
     ``cols[i][s]`` is the single successor of state ``s`` on the ``i``-th
     alphabet symbol; ``transitions[s][i]`` reads the same table by rows (a
     derived, read-only view).  ``Dfa(alphabet, transitions, initial,
-    finals)`` takes the rows, checks them and converts them.  ``minimal`` is
-    set only by ``minimize`` and promises that all states are reachable and
-    pairwise distinguishable.  ``numbered``, set by the constructions, promises
-    that they are all reachable and numbered breadth-first from ``initial``
-    = 0 in symbol order, so ``minimize`` need not renumber them.
+    finals)`` takes the rows, checks them and converts them.  ``minimal``
+    promises that all states are reachable and pairwise distinguishable:
+    ``minimize`` sets it, and the constructor refuses it with a
+    ``ValueError`` on a table that breaks the promise.  ``numbered``, set
+    by the constructions, promises that they are all reachable and numbered
+    breadth-first from ``initial`` = 0 in symbol order, so ``minimize`` need
+    not renumber them.
     """
 
     alphabet: str
@@ -155,6 +157,11 @@ class Dfa:
         if any(len(row) != len(alphabet) for row in transitions):
             raise ValueError("DFA must be complete: one successor per symbol")
         self._set(alphabet, tuple(zip(*transitions)), initial, frozenset(finals), minimal)
+        if minimal:
+            cols, _, _, count = _refine(self)
+            if count < self.state_count:
+                msg = "minimal=True on %d states, of which %d are reachable in %d classes"
+                raise ValueError(msg % (self.state_count, len(cols[0]), count))
 
     def _set(self, alphabet, cols, initial, finals, minimal=False, numbered=False) -> None:
         _check_alphabet(alphabet)

@@ -14,9 +14,9 @@ it).
 Exit codes: 0 success, 1 a verified invariant was violated, 2 a resource
 limit was hit (``CapExceeded``, ``BudgetExceeded``, ``MemoryError``,
 ``RecursionError``), 3 bad input (usage errors, ``OSError``,
-``ValueError``); the commands raise and ``main`` maps.  The environment
-variable ``FROBWORD_STATE_CAP`` overrides the determinization cap; the
-``--state-cap`` flag overrides both.
+``ValueError``); the commands raise and ``main`` maps.  ``measure
+--state-cap`` sets the determinization cap, ``DEFAULT_STATE_CAP`` unless
+given.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import time
 
@@ -118,75 +117,49 @@ def _read_input(path: str) -> str:
     raise WordSetFileError("%s: not an ASCII text file" % path)
 
 
-def _resolve_cap(args) -> int:
-    source, cap = "--state-cap", args.state_cap
-    if cap is None:
-        source, env = "FROBWORD_STATE_CAP", os.environ.get("FROBWORD_STATE_CAP")
-        if not env:
-            return DEFAULT_STATE_CAP
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ValueError("FROBWORD_STATE_CAP is not an integer: %r" % env)
-    if cap <= 0:
-        raise ValueError("%s must be a positive integer, got %d" % (source, cap))
-    return cap
-
-
 # ---------------------------------------------------------------------------
 # measure
 
 
-def _report_dict(label, s, report, want_star, want_chain, wall_ms):
+def _report_dict(label, s, report, wall_ms):
     """Assemble the JSON report with a fixed key order; measures that do
-    not apply are null and immediately followed by a reason key."""
-    rep: dict[str, object] = {
-        "input": label,
-        "alphabet": s.alphabet,
-        "k": s.word_count,
-        "n": s.max_word_length,
-        "m_total": s.total_symbols,
-    }
-    not_requested = "not requested (star measures disabled)"
-    rep["cofinite_star"] = report.cofinite_star
-    if report.cofinite_star is None:
-        rep["cofinite_star_reason"] = not_requested
-    rep["L"] = report.longest_omitted
-    if report.longest_omitted is None:
-        if not want_star:
-            rep["L_reason"] = not_requested
-        elif report.full_language:
-            rep["L_reason"] = "the closure is the full language"
-        elif not report.cofinite_star:
-            rep["L_reason"] = "the complement is infinite"
-    rep["L_witness"] = report.longest_omitted_word
-    rep["S"] = report.star_sc
-    if report.star_sc is None:
-        rep["S_reason"] = not_requested
-    rep["S_prime"] = report.chain_sc
-    if report.chain_sc is None:
-        rep["S_prime_reason"] = "not requested (chain measures disabled)"
-    rep["K"] = report.chain_longest_omitted
-    if report.chain_longest_omitted is None:
-        if not want_chain:
-            rep["K_reason"] = "not requested (chain measures disabled)"
-        elif report.chain_full_language:
-            rep["K_reason"] = "the chain is the full language"
-        else:
-            rep["K_reason"] = "the chain complement is infinite"
-    rep["M"] = None if report.omitted_count is None else str(report.omitted_count)
-    if report.omitted_count is None:
-        if not want_star:
-            rep["M_reason"] = not_requested
-        else:
-            rep["M_reason"] = "the complement is infinite"
-    rep["nfa_bound"] = report.nfa_size_bound
-    rep["window_dfa_states"] = report.window_dfa_states
-    if report.window_dfa_states is None:
-        rep["window_dfa_states_reason"] = not_requested
-    rep["wall_time_ms"] = wall_ms
-    if wall_ms is None:
-        rep["wall_time_ms_reason"] = "timing disabled"
+    not apply are null and immediately followed by a reason key.  The reason
+    is decided once per side: not requested (its state complexity is null),
+    else a full language, else an infinite complement (a co-finite side
+    that misses a word has no null measure to explain)."""
+    star = (
+        "not requested (star measures disabled)" if report.star_sc is None
+        else "the closure is the full language" if report.full_language
+        else "the complement is infinite"
+    )
+    chain = (
+        "not requested (chain measures disabled)" if report.chain_sc is None
+        else "the chain is the full language" if report.chain_full_language
+        else "the chain complement is infinite"
+    )
+    count = report.omitted_count
+    fields = (  # (key, value, reason when the value is null)
+        ("input", label, None),
+        ("alphabet", s.alphabet, None),
+        ("k", s.word_count, None),
+        ("n", s.max_word_length, None),
+        ("m_total", s.total_symbols, None),
+        ("cofinite_star", report.cofinite_star, star),
+        ("L", report.longest_omitted, star),
+        ("L_witness", report.longest_omitted_word, None),
+        ("S", report.star_sc, star),
+        ("S_prime", report.chain_sc, chain),
+        ("K", report.chain_longest_omitted, chain),
+        ("M", None if count is None else str(count), star),
+        ("nfa_bound", report.nfa_size_bound, None),
+        ("window_dfa_states", report.window_dfa_states, star),
+        ("wall_time_ms", wall_ms, "timing disabled"),
+    )
+    rep: dict[str, object] = {}
+    for key, value, reason in fields:
+        rep[key] = value
+        if value is None and reason is not None:
+            rep[key + "_reason"] = reason
     return rep
 
 
@@ -201,9 +174,10 @@ def cmd_measure(args) -> int:
             raise ValueError("--order is comma-separated, so it cannot be given for alphabet %r" % alphabet)
         xs_order = [w for w in args.order.split(",") if w]
 
-    cap = _resolve_cap(args)
+    if args.state_cap <= 0:
+        raise ValueError("--state-cap must be a positive integer, got %d" % args.state_cap)
     t0 = time.perf_counter()
-    report = measure_all(s, xs_order, star=want_star, chain=want_chain, state_cap=cap)
+    report = measure_all(s, xs_order, star=want_star, chain=want_chain, state_cap=args.state_cap)
     wall_ms = None if args.no_timing else round((time.perf_counter() - t0) * 1000, 3)
 
     for side, dfa in (("star", report.star_dfa), ("chain", report.chain_dfa)):
@@ -211,7 +185,7 @@ def cmd_measure(args) -> int:
             with open("%s.%s.dot" % (args.dot, side), "w", encoding="ascii") as fh:
                 fh.write(to_dot(dfa, side))
 
-    rep = _report_dict(args.file, s, report, want_star, want_chain, wall_ms)
+    rep = _report_dict(args.file, s, report, wall_ms)
     if args.pretty:
         print(json.dumps(rep, indent=2))
     else:
@@ -341,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-timing", action="store_true", help="null wall_time_ms for byte-stable output"
     )
     m.add_argument("--dot", metavar="PREFIX", help="also write PREFIX.{star,chain}.dot")
-    m.add_argument("--state-cap", type=int, help="determinization state cap")
+    m.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP, help="determinization state cap")
     m.set_defaults(func=cmd_measure)
 
     g = sub.add_parser("gen", help="print a built-in family as a word-set file")

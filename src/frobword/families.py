@@ -16,7 +16,7 @@ from itertools import product
 from math import gcd
 
 from frobword.numeric import frobenius_g
-from frobword.starlang import DEFAULT_ENUM_BUDGET, BudgetExceeded, PreconditionViolated, WordSet
+from frobword.starlang import PreconditionViolated, WordSet, _check_budget
 
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
@@ -60,10 +60,13 @@ def star_blowup_family(t: int) -> StarBlowupFamily:
 
     It contains the single letter 0, the t-1 words made of t ones with a
     zero inserted at one interior position (one word per position), and the
-    word 0 (t-1 ones) 0.  All words but the first have length t+1.
+    word 0 (t-1 ones) 0.  All words but the first have length t+1.  More
+    than ``DEFAULT_ENUM_BUDGET`` symbols, ``1 + t(t+1)``, raise
+    ``BudgetExceeded`` before any word is built.
     """
     if t < 2:
         raise PreconditionViolated("the family needs t >= 2")
+    _check_budget(1 + t * (t + 1), "star blowup family would write %d symbols at t = %d", t)
     return StarBlowupFamily(t, WordSet.of("01", _blowup_words(t)))
 
 
@@ -99,11 +102,14 @@ def chain_blowup_family(t: int) -> tuple[list[str], int]:
     ``star_blowup_family(t)`` in the order that function builds them (the
     zero of the interior words moving from the last interior position to
     the first), so both families come from one word list.  Meaningful from
-    ``t >= 3``.  The sequence length is ``repeats * (t + 1)``.
+    ``t >= 3``.  The sequence length is ``repeats * (t + 1)``, its symbols
+    ``repeats * (1 + t(t+1))``; more than ``DEFAULT_ENUM_BUDGET`` symbols
+    raise ``BudgetExceeded`` before any word is built.
     """
     if t < 3:
         raise PreconditionViolated("the chain family needs t >= 3")
     repeats = (t + 1) * (t - 2) // 2 + 2 * t
+    _check_budget(repeats * (1 + t * (t + 1)), "chain blowup family would write %d symbols at t = %d", t)
     return _blowup_words(t) * repeats, repeats
 
 
@@ -146,10 +152,7 @@ def two_length_family(short_len: int, long_len: int, alphabet: str = "01") -> Tw
     if len(set(alphabet)) != len(alphabet) or len(alphabet) < 2:
         raise PreconditionViolated("need an alphabet of at least two distinct letters")
     sigma = len(alphabet)
-    if sigma**n > DEFAULT_ENUM_BUDGET:
-        raise BudgetExceeded(
-            "two-length family would enumerate %d words of length %d" % (sigma**n, n)
-        )
+    _check_budget(sigma**n, "two-length family would enumerate %d words of length %d", n)
     width = n - m
     pad = alphabet[0] * (2 * m - n)
     top = sigma**width

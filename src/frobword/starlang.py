@@ -342,9 +342,10 @@ def chain_cofinite(xs: Sequence[str], alphabet: str) -> bool:
 
 
 def minimal_star_dfa(s: WordSet, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
-    """Minimal complete DFA for the star closure, minimized from
-    ``pending_star_dfa``."""
-    return minimize(pending_star_dfa(s, state_cap)[0])
+    """Minimal complete DFA for the star closure: the subset automaton of
+    the suffix-merged trie, minimized.  No window state is counted; the cap
+    bounds the subset construction."""
+    return minimize(determinize(trie_star_nfa(s), state_cap))
 
 
 def minimal_chain_dfa(
@@ -460,6 +461,12 @@ def measure_all(
 DEFAULT_ENUM_BUDGET = 2**20
 
 
+def _check_budget(count: int, what: str, *args, budget: int = DEFAULT_ENUM_BUDGET) -> None:
+    """``BudgetExceeded``, saying ``what % (count, *args)``, when ``count`` is over the budget."""
+    if count > budget:
+        raise BudgetExceeded(what % (count, *args))
+
+
 def two_length_cofinite(
     s: WordSet, short_len: int, long_len: int, *, budget: int = DEFAULT_ENUM_BUDGET
 ) -> bool:
@@ -488,8 +495,5 @@ def two_length_cofinite(
     if short_words < sigma**m:
         return False
     threshold = m * sigma ** (n - m) + (n - m)
-    if sigma**threshold > budget:
-        raise BudgetExceeded(
-            "would enumerate %d words of length %d" % (sigma**threshold, threshold)
-        )
+    _check_budget(sigma**threshold, "would enumerate %d words of length %d", threshold, budget=budget)
     return all(_levels(s.alphabet, threshold, [s.words])[threshold])

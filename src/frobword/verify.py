@@ -42,9 +42,11 @@ from frobword.starlang import (
     BudgetExceeded,
     PreconditionViolated,
     WordSet,
+    _check_budget,
     _levels,
     chain_cofinite,
     chain_nfa,
+    measure_all,
     member_star,
     minimal_chain_dfa,
     minimal_star_dfa,
@@ -225,12 +227,18 @@ def suite_pairs(max_len: int = 6, agreement_total: int = 14) -> SuiteReport:
     formula.  Separately bounds the block-stream agreement length for all
     non-commuting pairs with ``|w| + |x|`` up to ``agreement_total``.
     ``max_len`` below 2 (no pair up to length 1 attains the star bound) or
-    ``agreement_total`` below 2 (no pair at all) raise ``PreconditionViolated``.
+    ``agreement_total`` below 2 (no pair at all) raise ``PreconditionViolated``;
+    more than ``DEFAULT_ENUM_BUDGET`` pair automata or agreement checks
+    raise ``BudgetExceeded`` before any word is built.
     """
     if max_len < 2:
         raise PreconditionViolated("max_len must be at least 2, got %d" % max_len)
     if agreement_total < 2:
         raise PreconditionViolated("agreement_total must be at least 2, got %d" % agreement_total)
+    k = 2 ** (max_len + 1) - 2  # the words; unordered star pairs, then ordered chain pairs
+    _check_budget(k * (k + 1) // 2 + k * k, "pair laws would build %d automata up to length %d", max_len)
+    checks = (agreement_total - 2) * 2 ** (agreement_total + 1) + 4  # sum of (t - 1) 2**t over t
+    _check_budget(checks, "agreement bound would check %d pairs up to combined length %d", agreement_total)
     report = SuiteReport("pairs")
     words = [w for n in range(1, max_len + 1) for w in _binary(n)]
 
@@ -276,7 +284,7 @@ def suite_st(t_max: int = 5) -> SuiteReport:
     for t in range(2, t_max + 1):
         fam = star_blowup_family(t)
         try:
-            d = minimize(determinize(trie_star_nfa(fam.words)))
+            d = minimal_star_dfa(fam.words)
         except CapExceeded as exc:
             report.cap_events += 1
             report.add("t=%d" % t, star_blowup_sc(t), "cap exceeded: %s" % exc, False)
@@ -295,7 +303,9 @@ def suite_st(t_max: int = 5) -> SuiteReport:
 
 def suite_tmn(m: int = 3, n: int = 5, alphabet: str = "01") -> SuiteReport:
     """The two-length family: co-finiteness both ways, the exact longest
-    omitted word, and the floor on the omitted count."""
+    omitted word, and the floor on the omitted count.  The automaton's
+    answers are the star side of ``measure_all``, the numbers ``measure``
+    reports."""
     report = SuiteReport("tmn")
     fam = two_length_family(m, n, alphabet)
     s = fam.words
@@ -307,22 +317,21 @@ def suite_tmn(m: int = 3, n: int = 5, alphabet: str = "01") -> SuiteReport:
         report.cap_events += 1
         report.add("decision procedure", True, "budget exceeded: %s" % exc, False)
 
-    d = minimal_star_dfa(s)
-    cof = is_cofinite(d)
+    measured = measure_all(s, chain=False)
+    cof = measured.cofinite_star
     report.add("automaton co-finite", True, cof, cof)
     if not cof:
         return report
 
-    comp = complement(d)
-    wit = longest_word(comp)
+    wit, length = measured.longest_omitted_word, measured.longest_omitted
     predicted = predicted_longest_omitted(fam)
-    report.add("longest omitted length", predicted, len(wit) if wit else None, wit is not None and len(wit) == predicted)
+    report.add("longest omitted length", predicted, length, length == predicted)
     structured = longest_omitted_witness(fam)
     report.add("longest omitted word", structured, wit, wit == structured)
     inside = member_star(s, structured)
     report.add("witness rejected by oracle", False, inside, inside is False)
 
-    count = count_words(comp)
+    count = measured.omitted_count
     floor = omitted_count_lower_bound(fam)
     report.add("omitted count", ">= %d" % floor, count, count >= floor)
 

@@ -216,6 +216,22 @@ def test_state_complexity_counts_minimal_states():
     assert state_complexity(d) == 2
 
 
+@pytest.mark.parametrize(
+    "rows, finals",
+    [
+        (((1, 1), (1, 1)), NONE),  # two equivalent states, the empty language
+        (((0, 0), (1, 1)), frozenset({1})),  # state 1 unreachable
+    ],
+)
+def test_dfa_constructor_refuses_a_false_minimal_flag(rows, finals):
+    # state_complexity and minimize return a minimal-flagged table as it is
+    with pytest.raises(ValueError, match="minimal=True"):
+        Dfa("01", rows, 0, finals, minimal=True)
+    d = Dfa("01", rows, 0, finals)
+    assert state_complexity(d) == minimize(d).state_count == 1
+    assert Dfa("01", ((0, 0),), 0, NONE, minimal=True).minimal
+
+
 def test_to_dot_smoke():
     s = to_dot(all_but_one_word(), "x")
     assert "digraph" in s and "->" in s

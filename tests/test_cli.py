@@ -188,38 +188,23 @@ def test_measure_non_ascii_stdin_is_bad_input(capsys, monkeypatch):
     assert err == "error: -: not an ASCII text file\n"
 
 
-def test_measure_state_cap_env_and_flag(tmp_path, capsys, monkeypatch):
-    from frobword.cli import main as cli_main
-
-    assert cli_main(["gen", "st", "--t", "4"]) == EXIT_OK
+def test_measure_state_cap_flag(tmp_path, capsys):
+    assert main(["gen", "st", "--t", "4"]) == EXIT_OK
     fam = write_ws(tmp_path, "s4.ws", capsys.readouterr().out)
-    monkeypatch.setenv("FROBWORD_STATE_CAP", "4")
-    code = cli_main(["measure", fam, "--star", "--no-timing"])
-    err = capsys.readouterr().err
-    assert code == EXIT_CAP
+    code, out, err = run(capsys, "measure", fam, "--star", "--no-timing", "--state-cap", "4")
+    assert (code, out) == (EXIT_CAP, "")
     assert err == "error: state cap exceeded: window construction exceeded 4 states\n"
-    code = cli_main(["measure", fam, "--star", "--no-timing", "--state-cap", "100000"])
-    out = capsys.readouterr().out
+    code, out, _ = run(capsys, "measure", fam, "--star", "--no-timing", "--state-cap", "100000")
     assert code == EXIT_OK
     assert json.loads(out)["S"] == 56
-    monkeypatch.setenv("FROBWORD_STATE_CAP", "zebra")
-    code = cli_main(["measure", fam, "--star", "--no-timing"])
-    capsys.readouterr()
-    assert code == EXIT_BAD_INPUT
 
 
 @pytest.mark.parametrize("cap", ["0", "-5"])
-def test_measure_nonpositive_state_cap_is_bad_input(tmp_path, capsys, monkeypatch, cap):
+def test_measure_nonpositive_state_cap_is_bad_input(tmp_path, capsys, cap):
     f = write_ws(tmp_path, "u.ws", "alphabet: 0\n00\n000\n")
-    monkeypatch.delenv("FROBWORD_STATE_CAP", raising=False)
     code, out, err = run(capsys, "measure", f, "--no-timing", "--state-cap", cap)
     assert (code, out) == (EXIT_BAD_INPUT, "")
     assert "--state-cap" in err
-    monkeypatch.setenv("FROBWORD_STATE_CAP", cap)
-    code, out, err = run(capsys, "measure", f, "--no-timing")
-    assert (code, out) == (EXIT_BAD_INPUT, "")
-    assert "FROBWORD_STATE_CAP" in err
-    # the flag still overrides a bad variable
     code, out, _ = run(capsys, "measure", f, "--no-timing", "--state-cap", "10")
     assert code == EXIT_OK and json.loads(out)["S"] == 3
 
@@ -235,8 +220,9 @@ def test_measure_dot_debug_flag(tmp_path, capsys):
 
 
 def test_measure_dot_reuses_the_measured_dfas(tmp_path, capsys, monkeypatch):
-    # measure builds each side once (the star side by its merged window
-    # search, never the full window acceptor) and writes those DFAs
+    # measure builds each side once (the star side by the subset construction
+    # of the trie, its window states only counted, never the full window
+    # acceptor) and writes those DFAs
     from frobword import starlang
     from frobword.automata import to_dot
 
@@ -518,6 +504,28 @@ def test_two_length_budget_exits_cap_before_enumerating(capsys, command):
     assert time.perf_counter() - t0 < 1.0
     assert (code, out) == (EXIT_CAP, "")
     assert err == "error: budget exceeded: two-length family would enumerate %d words of length 39\n" % 2**39
+
+
+# the counts come from the closed forms: 1 + t(t+1) symbols in the star family,
+# (t+1)(t-2)/2 + 2t repeats of that in the chain family, n(n+1)/2 + n**2 pair
+# automata over the n = 2**(L+1) - 2 words, and (T-2) 2**(T+1) + 4 agreement pairs
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen", "st", "--t", "5000"], "star blowup family would write 25005001 symbols at t = 5000"),
+        (["gen", "chain", "--t", "100"], "chain blowup family would write 52010049 symbols at t = 100"),
+        (["verify", "pairs", "--max-len", "12"], "pair laws would build 100618245 automata up to length 12"),
+        (
+            ["verify", "pairs", "--agreement-total", "30"],
+            "agreement bound would check 60129542148 pairs up to combined length 30",
+        ),
+    ],
+)
+def test_enumeration_budgets_exit_cap_before_enumerating(capsys, argv, message):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out, err) == (EXIT_CAP, "", "error: budget exceeded: %s\n" % message)
 
 
 @pytest.mark.parametrize(

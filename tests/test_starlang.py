@@ -338,6 +338,19 @@ def test_minimal_star_dfa_is_minimal():
     assert d.state_count == minimize(determinize(trie_star_nfa(s))).state_count
 
 
+def test_minimal_star_dfa_runs_no_window_search(monkeypatch):
+    from frobword import starlang
+
+    sets = [WordSet.of("01", ["0", "01", "11"]), WordSet.of("0", ["00", "000"])]
+    before = [minimal_star_dfa(s) for s in sets]
+
+    def unexpected(*args):
+        raise AssertionError("_window_search ran")
+
+    monkeypatch.setattr(starlang, "_window_search", unexpected)
+    assert [minimal_star_dfa(s) for s in sets] == before
+
+
 def test_two_length_cofinite_decision():
     from frobword.families import two_length_family
 

@@ -1,6 +1,7 @@
 """Scaled-down runs of the verification suites (the full desk-scale runs
 live in the acceptance tests)."""
 
+import dataclasses
 from itertools import product
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from frobword import verify
 from frobword.automata import Dfa
+from frobword.families import omitted_count_lower_bound, two_length_family
 from frobword.starlang import PreconditionViolated
 from frobword.verify import (
     _levels,
@@ -235,7 +237,7 @@ def test_star_fault_reports_the_least_differing_word(monkeypatch):
     def faulty(d):
         m = real(d)
         finals = m.finals - {max(m.finals - {m.initial}, default=m.initial)}
-        m = Dfa(m.alphabet, m.transitions, m.initial, finals, minimal=True)
+        m = Dfa(m.alphabet, m.transitions, m.initial, finals)
         built.append(m)
         return m
 
@@ -250,3 +252,17 @@ def test_star_fault_reports_the_least_differing_word(monkeypatch):
                 expected.add("star oracle %s word %s" % (s.words, w))
     assert expected and _oracle_rows(report, "star") == expected
     assert _oracle_rows(report, "chain") == set()
+
+
+def test_tmn_checks_the_count_measure_reports(monkeypatch):
+    # suite_tmn reads the omitted count from measure_all, so a count planted
+    # there is the one its omitted-count row checks
+    real = verify.measure_all
+    floor = omitted_count_lower_bound(two_length_family(3, 5))
+
+    def faulty(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), omitted_count=floor - 1)
+
+    monkeypatch.setattr(verify, "measure_all", faulty)
+    report = suite_tmn(3, 5)
+    assert [(r.instance, r.actual) for r in report.failures()] == [("omitted count", str(floor - 1))]

@@ -451,6 +451,17 @@ def count_words(d: Dfa) -> int:
     return total.get(d.initial, 0)
 
 
+def _omissions(d: Dfa) -> tuple[bool, int | None, str | None]:
+    """What the language misses: whether only finitely many words, then how
+    many and the longest (``longest_word``'s tie-break, ``None`` when none
+    is missed), both read off one complement.  ``is_cofinite`` runs first,
+    so a rejecting loop answers ``(False, None, None)`` at once."""
+    if not is_cofinite(d):
+        return False, None, None
+    comp = complement(d)
+    return True, count_words(comp), longest_word(comp)
+
+
 def distinguishing_word(a: Dfa, b: Dfa) -> str | None:
     """Shortest word accepted by exactly one of the two automata.
 

@@ -241,6 +241,8 @@ def cmd_verify(args) -> int:
         raise ValueError("verify %s does not read %s" % (args.suite, flag))
     if given.get("count", 1) < 1:
         raise ValueError("--count must be a positive integer, got %d" % given["count"])
+    if "alphabet" in given:  # every instance checked can be generated and measured
+        _check_carried(given["alphabet"], "--alphabet")
     report = getattr(verify_mod, name)(**{k: v for k, v in given.items() if k in reads})
 
     print("instance\tpredicted\tactual\tstatus")
@@ -267,13 +269,14 @@ def cmd_verify(args) -> int:
 def cmd_oracle(args) -> int:
     alphabet, file_words = parse_word_set_file(_read_input(args.file), args.file)
     s = WordSet.of(alphabet, file_words)
-    for word in args.words:
+    for word in args.words:  # all checked before the first answer
         stray = sorted(set(word) - set(alphabet))
         if stray:
             raise ValueError(
                 "word %r uses characters %s not in alphabet %r"
                 % (word, ",".join(stray), alphabet)
             )
+    for word in args.words:
         if args.chain:
             inside = member_chain(file_words, word)
         else:

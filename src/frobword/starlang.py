@@ -26,11 +26,8 @@ from frobword.automata import (
     Nfa,
     _check_alphabet,
     _new,
-    complement,
-    count_words,
+    _omissions,
     determinize,
-    is_cofinite,
-    longest_word,
     minimize,
 )
 
@@ -395,61 +392,46 @@ def measure_all(
 ) -> MeasureReport:
     """Compute all measures for one word set.
 
-    The star side is ``pending_star_dfa``: the window states are counted
-    (and capped) and reported as ``window_dfa_states``, and the subset
-    automaton of the suffix-merged trie is minimized; no window acceptor is
-    built.  ``xs_order`` fixes the order of the chain of stars and may
-    repeat words; it must use exactly the words of the set.  It defaults to
-    the set's canonical order.  ``star=False`` or ``chain=False`` skips that
-    side entirely (the corresponding fields come back ``None``).
+    Each side builds its minimal DFA and reads every omission measure off
+    it with ``_omissions``: a side is the full language when it omits no
+    word, and the chain's co-finiteness is its automaton's verdict
+    (``chain_cofinite`` is the prediction ``verify chain-cofinite`` checks
+    against it).  The star side is ``pending_star_dfa``: the window states
+    are counted (and capped) and reported as ``window_dfa_states``, and the
+    subset automaton of the suffix-merged trie is minimized; no window
+    acceptor is built.  ``xs_order`` fixes the order of the chain of stars
+    and may repeat words; it must use exactly the words of the set.  It
+    defaults to the set's canonical order.  ``star=False`` or
+    ``chain=False`` skips that side entirely (the corresponding fields come
+    back ``None``).
     """
     if xs_order is None:
         xs_order = list(s.words)
     if set(xs_order) != set(s.words):
         raise ValueError("chain order must use exactly the words of the set")
 
-    star_cof = longest = longest_wit = count = full = star_sc = window_states = star_min = None
+    star_cof = count = wit = star_min = window_states = None
     if star:
         quotient, window_states = pending_star_dfa(s, state_cap)
         star_min = minimize(quotient)
-        star_sc = star_min.state_count
-        star_cof = is_cofinite(star_min)
-        full = False
-        if star_cof:
-            comp = complement(star_min)
-            count = count_words(comp)
-            if count == 0:
-                full = True
-            else:
-                longest_wit = longest_word(comp)
-                assert longest_wit is not None
-                longest = len(longest_wit)
+        star_cof, count, wit = _omissions(star_min)
 
-    chain_cof = chain_sc = chain_longest = chain_wit = chain_full = chain_min = None
+    chain_cof = chain_count = chain_wit = chain_min = None
     if chain:
         chain_min = minimal_chain_dfa(xs_order, s.alphabet, state_cap)
-        chain_sc = chain_min.state_count
-        chain_cof = chain_cofinite(xs_order, s.alphabet)
-        chain_full = False
-        if chain_cof:
-            ccomp = complement(chain_min)
-            chain_wit = longest_word(ccomp)
-            if chain_wit is None:
-                chain_full = True
-            else:
-                chain_longest = len(chain_wit)
+        chain_cof, chain_count, chain_wit = _omissions(chain_min)
 
     return MeasureReport(
         cofinite_star=star_cof,
-        full_language=full,
-        longest_omitted=longest,
-        longest_omitted_word=longest_wit,
+        full_language=None if star_min is None else count == 0,
+        longest_omitted=None if wit is None else len(wit),
+        longest_omitted_word=wit,
         omitted_count=count,
-        star_sc=star_sc,
-        chain_sc=chain_sc,
+        star_sc=None if star_min is None else star_min.state_count,
+        chain_sc=None if chain_min is None else chain_min.state_count,
         chain_is_cofinite=chain_cof,
-        chain_full_language=chain_full,
-        chain_longest_omitted=chain_longest,
+        chain_full_language=None if chain_min is None else chain_count == 0,
+        chain_longest_omitted=None if chain_wit is None else len(chain_wit),
         chain_longest_omitted_word=chain_wit,
         nfa_size_bound=s.total_symbols - s.word_count + 1,
         window_dfa_states=window_states,

@@ -37,20 +37,16 @@ def common_root(w: str, x: str) -> str | None:
     """Shortest word both inputs are powers of, or None.
 
     Two words are powers of a common word exactly when they commute, and
-    then the primitive root works; its length divides gcd of the lengths,
-    so trying divisors in increasing order finds the shortest.
+    then they share their primitive root.  That root is ``w[:p]`` for the
+    first position ``p > 0`` at which ``w`` occurs in ``ww``: ``w`` occurs
+    at ``p`` exactly when rotating it by ``p`` leaves it unchanged, those
+    rotations form a group, so the least one divides ``len(w)``, and ``w``
+    is a power of ``w[:p]`` and of no shorter word.
     """
     _require_nonempty(w, x)
     if w + x != x + w:
         return None
-    d = gcd(len(w), len(x))
-    for p in range(1, d + 1):
-        if d % p:
-            continue
-        z = w[:p]
-        if z * (len(w) // p) == w and z * (len(x) // p) == x:
-            return z
-    raise AssertionError("commuting words must share a root")  # pragma: no cover
+    return w[: (w + w).find(w, 1)]
 
 
 def fine_wilf_agreement(w: str, x: str) -> int | float:

@@ -370,6 +370,14 @@ def test_verify_out_of_range_or_unread_flag_is_bad_input(capsys, argv, says):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("alphabet", ["\t1", "0\n1", "0#", "0 1"])
+def test_verify_tmn_refuses_an_alphabet_gen_tmn_refuses(capsys, alphabet):
+    gen = run(capsys, "gen", "tmn", "--m", "2", "--n", "3", "--alphabet", alphabet)
+    code, out, err = run(capsys, "verify", "tmn", "--m", "2", "--n", "3", "--alphabet", alphabet)
+    assert (gen[0], code, out) == (EXIT_BAD_INPUT, EXIT_BAD_INPUT, "")
+    assert err.startswith("error: --alphabet: alphabet ") and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -474,6 +482,13 @@ def test_oracle_star_and_chain(tmp_path, capsys):
     code, _, err = run(capsys, "oracle", f, "01")
     assert code == EXIT_BAD_INPUT
     assert "alphabet" in err
+
+
+def test_oracle_checks_every_word_before_the_first_answer(tmp_path, capsys):
+    f = write_ws(tmp_path, "b.ws", "alphabet: 01\n0\n1\n")
+    code, out, err = run(capsys, "oracle", f, "", "2", "3")
+    assert (code, out) == (EXIT_BAD_INPUT, "")
+    assert err == "error: word '2' uses characters 2 not in alphabet '01'\n"
 
 
 def test_parser_is_built_once():

@@ -12,7 +12,7 @@ import io
 import json
 import sys
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frobword.cli import main
@@ -84,7 +84,7 @@ def cases(draw) -> tuple[list[str], bytes]:
             "unary": [("--count", count)],
             "pairs": [],  # both flags always given: the defaults take seconds
             "st": [("--t-max", small)],
-            "tmn": [("--alphabet", st.sampled_from(["01", "012", "0"]))],
+            "tmn": [("--alphabet", st.sampled_from(["01", "012", "0", "\t1"]))],
             "chain-cofinite": [("--count", count)],
             "bounds": [("--count", count)],
         }[suite] + [("--seed", st.integers(0, 99).map(str))]
@@ -114,8 +114,13 @@ def _check_report(text: str) -> None:
             assert keys[i + 1] == key + "_reason"
 
 
+# a tab in the alphabet would split the rows that print its words
+TAB_TABLE = (["verify", "tmn", "--alphabet", "\t1", "--m", "2", "--n", "3"], b"alphabet: 01\n0\n")
+
+
 @settings(max_examples=150)
 @given(case=cases(), stdin=st.booleans())
+@example(case=TAB_TABLE, stdin=False)
 def test_cli_contract(tmp_path_factory, case, stdin):
     argv, data = case
     path = tmp_path_factory.getbasetemp() / "contract.ws"
@@ -134,13 +139,16 @@ def test_cli_contract(tmp_path_factory, case, stdin):
     assert code in (0, 2, 3), (argv, code, err)
     assert "Traceback" not in err
     if parser_exit:
-        assert code == 3 and "usage:" in err
+        assert code == 3 and "usage:" in err and out == ""
     elif argv[0] == "verify" and out:
-        # a table was printed: the summary line, and exit 2 only on a cap event
+        # a table was printed: four fields a row, the summary line, and exit 2
+        # only on a cap event
         assert out.startswith("instance\tpredicted\tactual\tstatus\n")
+        assert all(line.count("\t") == 3 for line in out.splitlines()), out
         assert err.count("\n") == 1 and err.startswith("# suite ")
         assert (code == 2) == (" 0 cap events" not in err)
     elif code:
+        assert out == "", (argv, out)
         assert err.count("\n") == 1 and err.startswith("error: "), (argv, err)
     else:
         assert err == ""

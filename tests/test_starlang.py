@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+from frobword import starlang
 from frobword.automata import (
     DEFAULT_STATE_CAP,
     CapExceeded,
@@ -319,6 +320,26 @@ def test_measure_all_toggles():
     assert r.chain_sc is None
     assert r.chain_is_cofinite is None
     assert r.star_sc == 3
+
+
+def test_measure_all_reads_the_chain_verdict_off_the_automaton(monkeypatch):
+    sets = [WordSet.of("0", ["00", "000"]), WordSet.of("0", ["0"]), WordSet.of("01", ["0", "01", "11"])]
+    before = [measure_all(s) for s in sets]
+    assert [r.chain_is_cofinite for r in before] == [True, True, False]
+    assert [r.chain_full_language for r in before] == [False, True, False]
+
+    def refuse(*args):
+        raise AssertionError("measure_all consulted the closed form")
+
+    monkeypatch.setattr(starlang, "chain_cofinite", refuse)
+    assert [measure_all(s) for s in sets] == before
+
+
+@given(chains())
+def test_measured_chain_verdict_equals_the_criterion(case):
+    alphabet, xs = case
+    r = measure_all(WordSet.of(alphabet, xs), xs, star=False)
+    assert r.chain_is_cofinite == chain_cofinite(xs, alphabet)
 
 
 def test_measure_all_order_validation():

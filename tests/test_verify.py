@@ -9,9 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from frobword import verify
-from frobword.automata import Dfa
-from frobword.families import omitted_count_lower_bound, two_length_family
-from frobword.starlang import PreconditionViolated
+from frobword.automata import CapExceeded, Dfa
+from frobword.families import omitted_count_lower_bound, star_blowup_family, two_length_family
+from frobword.starlang import PreconditionViolated, minimal_star_dfa
 from frobword.verify import (
     _levels,
     crafted_word_sets,
@@ -60,6 +60,23 @@ def test_suite_st_small():
     r = suite_st(t_max=3)
     assert r.passed
     assert any("sink" in row.instance for row in r.rows)
+
+
+def test_suite_st_stops_at_its_first_cap_event(monkeypatch):
+    # the family grows with t, so a capped t caps every larger one too
+    calls = []
+
+    def capped(s):
+        calls.append(s)
+        if len(calls) >= 3:
+            raise CapExceeded("subset construction exceeded 1 states")
+        return minimal_star_dfa(s)
+
+    monkeypatch.setattr(verify, "minimal_star_dfa", capped)
+    r = suite_st(t_max=8)
+    assert calls == [star_blowup_family(t).words for t in (2, 3, 4)]
+    assert r.cap_events == 1
+    assert [row.instance for row in r.failures()] == ["t=4"]
 
 
 def test_suite_tmn_small():
@@ -137,6 +154,99 @@ def test_suite_pairs_reports_planted_faults(monkeypatch):
         monkeypatch.setattr(verify, name, off_by_one(getattr(verify, name)))
     r = suite_pairs(max_len=3, agreement_total=2)
     assert [(row.instance, row.predicted, row.actual, row.ok) for row in r.rows] == FAULTY_PAIRS_ROWS
+
+
+# the rows suite_bounds(count=6, seed=5, deep=False) gives with every law's
+# check planted to fail: no window state bound, no equivalence, no extension
+# condition, and minimize left out (so the subset bounds see window DFAs)
+FAULTY_BOUNDS_ROWS = [
+    ("window size ('0', '1', '00', '101', '0100')", '<= 0', '15', False),
+    ("window vs trie ('0', '1', '00', '101', '0100')", 'equivalent', 'differ', False),
+    ("window size ('0', '00', '010', '0000')", '<= 0', '29', False),
+    ("window vs trie ('0', '00', '010', '0000')", 'equivalent', 'differ', False),
+    ("window size ('01', '100')", '<= 0', '16', False),
+    ("window vs trie ('01', '100')", 'equivalent', 'differ', False),
+    ("prefix-free bound ('01', '100')", '<= 5', '16', False),
+    ("window size ('1', '122', '0010')", '<= 0', '92', False),
+    ("window vs trie ('1', '122', '0010')", 'equivalent', 'differ', False),
+    ("subset bound ('1', '122', '0010')", '<= 64', '92', False),
+    ("window size ('011',)", '<= 0', '26', False),
+    ("window vs trie ('011',)", 'equivalent', 'differ', False),
+    ("subset bound ('011',)", '<= 8', '26', False),
+    ("prefix-free bound ('011',)", '<= 4', '26', False),
+    ("window size ('1', '01', '1011')", '<= 0', '27', False),
+    ("window vs trie ('1', '01', '1011')", 'equivalent', 'differ', False),
+    ("window size ('0', '1')", '<= 0', '1', False),
+    ("window vs trie ('0', '1')", 'equivalent', 'differ', False),
+    ("window size ('0', '1', '01')", '<= 0', '3', False),
+    ("window vs trie ('0', '1', '01')", 'equivalent', 'differ', False),
+    ("window size ('0', '01', '11')", '<= 0', '7', False),
+    ("window vs trie ('0', '01', '11')", 'equivalent', 'differ', False),
+    ("window size ('00', '01', '10', '11')", '<= 0', '5', False),
+    ("window vs trie ('00', '01', '10', '11')", 'equivalent', 'differ', False),
+    ("window size ('0', '10', '110')", '<= 0', '14', False),
+    ("window vs trie ('0', '10', '110')", 'equivalent', 'differ', False),
+    ("prefix-free bound ('0', '10', '110')", '<= 5', '14', False),
+    ("window size ('00', '000')", '<= 0', '15', False),
+    ("window vs trie ('00', '000')", 'equivalent', 'differ', False),
+    ("window size ('0', '01')", '<= 0', '6', False),
+    ("window vs trie ('0', '01')", 'equivalent', 'differ', False),
+    ("subset bound ('0', '01')", '<= 4', '6', False),
+    ("window size ('1', '10', '100')", '<= 0', '14', False),
+    ("window vs trie ('1', '10', '100')", 'equivalent', 'differ', False),
+    ("window size ('0',)", '<= 0', '1', False),
+    ("window vs trie ('0',)", 'equivalent', 'differ', False),
+    ("window size ('00', '000')", '<= 0', '5', False),
+    ("window vs trie ('00', '000')", 'equivalent', 'differ', False),
+    ("omitted count ('00', '000')", '<= 0', '1', False),
+    ("longest omitted ('00', '000')", '< 0', '1', False),
+    ("extension condition ('00', '000')", 'True', 'False', False),
+    ("window size ('00', '0000')", '<= 0', '5', False),
+    ("window vs trie ('00', '0000')", 'equivalent', 'differ', False),
+    ("window size ('000', '0000')", '<= 0', '10', False),
+    ("window vs trie ('000', '0000')", 'equivalent', 'differ', False),
+    ("omitted count ('000', '0000')", '<= 0', '3', False),
+    ("longest omitted ('000', '0000')", '< 0', '5', False),
+    ("extension condition ('000', '0000')", 'True', 'False', False),
+    ("window size ('0', '1', '2')", '<= 0', '1', False),
+    ("window vs trie ('0', '1', '2')", 'equivalent', 'differ', False),
+    ("window size ('0', '1', '2', '012')", '<= 0', '13', False),
+    ("window vs trie ('0', '1', '2', '012')", 'equivalent', 'differ', False),
+    ("subset bound ('0', '1', '2', '012')", '<= 8', '13', False),
+    ("window size ('01', '12', '20')", '<= 0', '10', False),
+    ("window vs trie ('01', '12', '20')", 'equivalent', 'differ', False),
+    ("prefix-free bound ('01', '12', '20')", '<= 5', '10', False),
+    ("window size ('00', '01', '10', '11', '000', '010', '011', '100', '101', '110', '111')", '<= 0', '16', False),
+    ("window vs trie ('00', '01', '10', '11', '000', '010', '011', '100', '101', '110', '111')", 'equivalent', 'differ', False),
+    ("omitted count ('00', '01', '10', '11', '000', '010', '011', '100', '101', '110', '111')", '<= 0', '3', False),
+    ("longest omitted ('00', '01', '10', '11', '000', '010', '011', '100', '101', '110', '111')", '< 0', '3', False),
+    ("extension condition ('00', '01', '10', '11', '000', '010', '011', '100', '101', '110', '111')", 'True', 'False', False),
+    ("window size ('000', '001', '010', '011', '100', '101', '110', '111', '0000', '0010', '0011', '0100', '0101', '0110', '0111', '1000', '1001', '1010', '1011', '1100', '1101', '1110', '1111')", '<= 0', '66', False),
+    ("window vs trie ('000', '001', '010', '011', '100', '101', '110', '111', '0000', '0010', '0011', '0100', '0101', '0110', '0111', '1000', '1001', '1010', '1011', '1100', '1101', '1110', '1111')", 'equivalent', 'differ', False),
+    ("omitted count ('000', '001', '010', '011', '100', '101', '110', '111', '0000', '0010', '0011', '0100', '0101', '0110', '0111', '1000', '1001', '1010', '1011', '1100', '1101', '1110', '1111')", '<= 0', '78', False),
+    ("longest omitted ('000', '001', '010', '011', '100', '101', '110', '111', '0000', '0010', '0011', '0100', '0101', '0110', '0111', '1000', '1001', '1010', '1011', '1100', '1101', '1110', '1111')", '< 0', '11', False),
+    ("extension condition ('000', '001', '010', '011', '100', '101', '110', '111', '0000', '0010', '0011', '0100', '0101', '0110', '0111', '1000', '1001', '1010', '1011', '1100', '1101', '1110', '1111')", 'True', 'False', False),
+    ("window size ('0', '010', '101')", '<= 0', '20', False),
+    ("window vs trie ('0', '010', '101')", 'equivalent', 'differ', False),
+    ("window size ('0', '0110', '1011', '1101')", '<= 0', '62', False),
+    ("window vs trie ('0', '0110', '1011', '1101')", 'equivalent', 'differ', False),
+    ('window vs trie, 25 sets', '0 differ', '25 differ', False),
+    ('window size bound, 25 sets', '0 over', '25 over', False),
+    ('subset bound, 25 sets', '0 over', '4 over', False),
+    ('prefix-free bound, 8 sets', '0 over', '4 over', False),
+    ('longest omitted bound, 10 co-finite sets', '0 over', '4 over', False),
+    ('omitted count bound', '0 over', '4 over', False),
+    ('extension condition on co-finite sets', '0 failures', '4 failures', False),
+]
+
+
+def test_suite_bounds_reports_a_row_for_every_law(monkeypatch):
+    monkeypatch.setattr(verify, "window_state_bound", lambda sigma, n: 0)
+    monkeypatch.setattr(verify, "equivalent", lambda a, b: False)
+    monkeypatch.setattr(verify, "prefix_suffix_condition", lambda words: False)
+    monkeypatch.setattr(verify, "minimize", lambda d: d)
+    r = suite_bounds(count=6, seed=5, deep=False)
+    assert [(row.instance, row.predicted, row.actual, row.ok) for row in r.rows] == FAULTY_BOUNDS_ROWS
 
 
 @pytest.mark.parametrize(

@@ -354,112 +354,111 @@ def complement(d: Dfa) -> Dfa:
     return _new(Dfa, d.alphabet, d.cols, d.initial, finals, d.minimal, d.numbered)
 
 
-def _live_order(d: Dfa) -> list[int]:
-    """The states on some path initial -> final (reachable and co-reachable),
-    in topological order; ``NotFinite`` on a cycle among them."""
-    reach = [d.initial]
-    seen = {d.initial}
-    for s in reach:  # grows as states are reached
-        for col in d.cols:
-            if col[s] not in seen:
-                seen.add(col[s])
-                reach.append(col[s])
-    back: dict[int, set[int]] = defaultdict(set)
-    for col in d.cols:
-        for s in reach:
-            back[col[s]].add(s)
-    co = list(d.finals & seen)
-    live = set(co)
-    for s in co:  # grows as states are reached
-        for p in back[s]:
-            if p not in live:
-                live.add(p)
-                co.append(p)
-    indeg = dict.fromkeys(live, 0)
-    for col in d.cols:
-        for s in live:
-            if col[s] in live:
-                indeg[col[s]] += 1
-    queue = deque(sorted(s for s in live if indeg[s] == 0))
-    out = []
-    while queue:
-        s = queue.popleft()
-        out.append(s)
-        for col in d.cols:
-            t = col[s]
-            if t in live:
-                indeg[t] -= 1
-                if indeg[t] == 0:
-                    queue.append(t)
-    if len(out) != len(live):
+def _finite_paths(d: Dfa) -> tuple[list[int], list[int]]:
+    """Per state the initial one reaches, the number of words it accepts and
+    the length of its longest word (``-1`` for none); ``NotFinite`` when the
+    live states (reachable, and able to reach a final state) lie on a cycle.
+
+    One iterative depth-first search (Tarjan 1972): it pushes all successors
+    of a state at once and finishes the state when it is back on top, so the
+    states entered but not finished are the search path, and a state's
+    successors off the path are finished before it is.  The live states
+    form a cycle exactly when an edge back onto the path leads into a live
+    state; any other edge back leads to a dead state, which adds nothing.
+    So a state's entries are final when it is finished, and the back-edge
+    targets are checked once, at the end."""
+    cols, finals = d.cols, d.finals
+    count = [0] * d.state_count
+    longest = [-1] * d.state_count
+    mark = [0] * d.state_count  # 0 unseen, 1 on the search path, 2 finished
+    back = []  # targets of the edges back onto the path
+    stack = [d.initial]
+    while stack:
+        s = stack[-1]
+        if not mark[s]:
+            mark[s] = 1
+            for col in cols:
+                t = col[s]
+                if not mark[t]:
+                    stack.append(t)
+                elif mark[t] == 1:
+                    back.append(t)
+            continue
+        stack.pop()
+        if mark[s] == 1:  # else a second entry of a finished state
+            mark[s] = 2
+            total = 1 if s in finals else 0
+            top = total - 1
+            for col in cols:
+                t = col[s]
+                if count[t]:  # a live successor
+                    total += count[t]
+                    if longest[t] >= top:
+                        top = longest[t] + 1
+            count[s], longest[s] = total, top
+    if any(map(count.__getitem__, back)):
         raise NotFinite("live cycle: the language is infinite")
-    return out
+    return count, longest
 
 
-def is_cofinite(d: Dfa) -> bool:
-    """Whether all but finitely many words are accepted.
+def _spell_longest(d: Dfa, longest: list[int]) -> str | None:
+    """The longest word from ``initial`` by ``_finite_paths``' lengths, on
+    the first symbol whose target keeps it at each step; ``None`` for none."""
+    s, out = d.initial, []
+    while longest[s] > 0:
+        a = next(a for a, col in enumerate(d.cols) if longest[col[s]] == longest[s] - 1)
+        out.append(d.alphabet[a])
+        s = d.cols[a][s]
+    return "".join(out) if longest[d.initial] >= 0 else None
 
-    The words outside the language are exactly the words of the complement;
-    that language is finite iff the complement automaton, trimmed to states
-    that lie on some accepting path, has no cycle.  Every state of a
-    ``numbered`` table is reachable, so a rejecting state there that loops
-    to itself on a symbol misses infinitely many words: one scan per column
-    looks for such a loop before the full analysis runs.
-    """
+
+def _complement_paths(d: Dfa) -> tuple[list[int], list[int]] | None:
+    """``_finite_paths`` of the complement, which accepts the words ``d``
+    misses, or ``None`` when it is infinite.  Every state of a ``numbered``
+    table is reachable, so a rejecting state there that loops to itself on
+    a symbol misses infinitely many words: one scan per column looks for
+    such a loop before the search runs."""
     if d.numbered:
         states = range(d.state_count)
         for col in d.cols:
             if not d.finals.issuperset(compress(states, map(eq, col, states))):
-                return False
+                return None
     try:
-        _live_order(complement(d))
+        return _finite_paths(complement(d))
     except NotFinite:
-        return False
-    return True
+        return None
+
+
+def is_cofinite(d: Dfa) -> bool:
+    """Whether all but finitely many words are accepted: whether the
+    complement has no live cycle (``_complement_paths``)."""
+    return _complement_paths(d) is not None
 
 
 def longest_word(d: Dfa) -> str | None:
-    """Longest accepted word, lexicographically least among ties.
-
-    Requires a finite language (``NotFinite`` otherwise).  Returns ``None``
-    when no word is accepted at all.  Lexicographic order follows the
-    declared symbol order of the alphabet.
-    """
-    best: dict[int, int] = {}  # live state -> length of its longest word
-    for s in reversed(_live_order(d)):
-        best[s] = max([best[col[s]] + 1 for col in d.cols if col[s] in best], default=0)
-    if not best:
-        return None
-    out = []
-    s = d.initial
-    while best[s] > 0:  # step to the first symbol whose target keeps the longest word
-        a = next(a for a, col in enumerate(d.cols) if best.get(col[s]) == best[s] - 1)
-        out.append(d.alphabet[a])
-        s = d.cols[a][s]
-    return "".join(out)
+    """Longest accepted word, lexicographically least among ties in the
+    declared symbol order; ``None`` when no word is accepted.  Requires a
+    finite language (``NotFinite`` otherwise).  One ``_finite_paths``
+    search gives the lengths."""
+    return _spell_longest(d, _finite_paths(d)[1])
 
 
 def count_words(d: Dfa) -> int:
-    """Exact number of accepted words of a finite language.
-
-    Counts accepting paths through the trimmed acyclic graph; arbitrary
-    precision since the result grows like the number of paths.
-    """
-    total: dict[int, int] = {}  # live state -> number of its words
-    for s in reversed(_live_order(d)):
-        total[s] = (s in d.finals) + sum(total[col[s]] for col in d.cols if col[s] in total)
-    return total.get(d.initial, 0)
+    """Exact number of accepted words of a finite language (``NotFinite``
+    otherwise), read at ``initial`` off one ``_finite_paths`` search."""
+    return _finite_paths(d)[0][d.initial]
 
 
 def _omissions(d: Dfa) -> tuple[bool, int | None, str | None]:
     """What the language misses: whether only finitely many words, then how
     many and the longest (``longest_word``'s tie-break, ``None`` when none
-    is missed), both read off one complement.  ``is_cofinite`` runs first,
-    so a rejecting loop answers ``(False, None, None)`` at once."""
-    if not is_cofinite(d):
+    is missed), read off one search of one complement (``_complement_paths``,
+    so a rejecting loop answers at once).  The complement shares ``d``'s
+    columns, so the longest word is spelled on ``d``."""
+    paths = _complement_paths(d)
+    if paths is None:
         return False, None, None
-    comp = complement(d)
-    return True, count_words(comp), longest_word(comp)
+    return True, paths[0][d.initial], _spell_longest(d, paths[1])
 
 
 def distinguishing_word(a: Dfa, b: Dfa) -> str | None:
@@ -521,6 +520,7 @@ def to_dot(fa: Nfa | Dfa, name: str = "fa") -> str:
             for t in targets:
                 grouped[(s, t)].append(c)
     for (s, t), symbols in sorted(grouped.items()):
-        lines.append('  q%d -> q%d [label="%s"];' % (s, t, ",".join(symbols)))
+        label = ",".join(symbols).replace("\\", "\\\\").replace('"', '\\"')  # a DOT string
+        lines.append('  q%d -> q%d [label="%s"];' % (s, t, label))
     lines.append("}")
     return "\n".join(lines)

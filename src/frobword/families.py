@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import gcd
 
 from frobword.numeric import frobenius_g
-from frobword.starlang import PreconditionViolated, WordSet, _check_budget
+from frobword.starlang import PreconditionViolated, WordSet, _check_budget, _check_two_lengths
 
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
@@ -145,10 +144,7 @@ def two_length_family(short_len: int, long_len: int, alphabet: str = "01") -> Tw
     long length.
     """
     m, n = short_len, long_len
-    if not (0 < m < n < 2 * m):
-        raise PreconditionViolated("lengths must satisfy 0 < short < long < 2*short")
-    if gcd(m, n) != 1:
-        raise PreconditionViolated("the two lengths must be coprime")
+    _check_two_lengths(m, n)
     if len(set(alphabet)) != len(alphabet) or len(alphabet) < 2:
         raise PreconditionViolated("need an alphabet of at least two distinct letters")
     sigma = len(alphabet)

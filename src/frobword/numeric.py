@@ -36,13 +36,14 @@ def is_degenerate(values: Iterable[int]) -> bool:
     return _normalized(values)[0] == 1
 
 
-def _residue_minima(vals: list[int]) -> list[int]:
+def _residue_minima(vals: list[int]) -> list[int | None]:
     """Least reachable amount in each residue class modulo the smallest step.
 
     Runs Dijkstra on the residue graph: from a reachable amount ``v``, adding
     a step ``a`` reaches ``v + a`` in class ``(v + a) % base``.  With
     coprime steps every class gets a finite minimum, and the largest of
-    those minima pins down the largest unreachable amount.
+    those minima pins down the largest unreachable amount; otherwise a class
+    no sum reaches stays ``None``.
     """
     base = vals[0]
     dist: list[int | None] = [None] * base
@@ -58,7 +59,7 @@ def _residue_minima(vals: list[int]) -> list[int]:
             if dist[s] is None or w < dist[s]:
                 dist[s] = w
                 heapq.heappush(heap, (w, s))
-    return dist  # type: ignore[return-value]
+    return dist
 
 
 def frobenius_g(values: Iterable[int]) -> int:
@@ -95,17 +96,11 @@ def frobenius_f(values: Iterable[int]) -> int:
 
 
 def representable(amount: int, values: Iterable[int]) -> bool:
-    """Whether ``amount`` is a sum of zero or more steps."""
+    """Whether ``amount`` is a sum of zero or more steps: exactly when it is
+    at least the least sum of its residue class modulo the smallest step
+    (``_residue_minima``)."""
     if amount < 0:
         raise ValueError("amount must be nonnegative")
     vals = _normalized(values)
-    reach = bytearray(amount + 1)
-    reach[0] = 1
-    for v in range(vals[0], amount + 1):
-        for a in vals:
-            if a > v:
-                break
-            if reach[v - a]:
-                reach[v] = 1
-                break
-    return bool(reach[amount])
+    least = _residue_minima(vals)[amount % vals[0]]
+    return least is not None and amount >= least

@@ -119,15 +119,20 @@ def member_star(s: WordSet, word: str) -> bool:
     return _member_star_indexed(_length_index(s.words), word)
 
 
+def _check_chain(xs: Sequence[str]) -> None:
+    """The chain rules: at least one word, and no empty word."""
+    if not xs:
+        raise ValueError("empty chains are not meaningful")
+    if not all(xs):
+        raise ValueError("chain words must be nonempty")
+
+
 def member_chain(xs: Sequence[str], word: str) -> bool:
     """Whether the word is a block of repeats of ``xs[0]``, then repeats of
     ``xs[1]``, and so on, any block possibly empty."""
-    if not xs:
-        raise ValueError("empty chains are not meaningful")
+    _check_chain(xs)
     positions = {0}
     for x in xs:
-        if not x:
-            raise ValueError("chain words must be nonempty")
         n = len(x)
         grown = set(positions)
         stack = list(positions)
@@ -305,10 +310,7 @@ def chain_nfa(xs: Sequence[str], alphabet: str) -> Nfa:
     any later word, which encodes skipping empty blocks.  Anchors accept.
     State count is the total length of the words.
     """
-    if not xs:
-        raise ValueError("empty chains are not meaningful")
-    if not all(xs):
-        raise ValueError("chain words must be nonempty")
+    _check_chain(xs)
     if not set("".join(xs)) <= set(alphabet):
         raise ValueError("chain words use characters outside %r" % alphabet)
     sym = {c: i for i, c in enumerate(alphabet)}
@@ -330,12 +332,8 @@ def chain_cofinite(xs: Sequence[str], alphabet: str) -> bool:
     are coprime overall; over two or more letters the chain fixes the order
     of blocks and misses infinitely many rearrangements.
     """
-    if not xs:
-        raise ValueError("empty chains are not meaningful")
-    lengths = [len(x) for x in xs]
-    if min(lengths) < 1:
-        raise ValueError("chain words must be nonempty")
-    return len(alphabet) == 1 and gcd(*lengths) == 1
+    _check_chain(xs)
+    return len(alphabet) == 1 and gcd(*map(len, xs)) == 1
 
 
 def minimal_star_dfa(s: WordSet, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
@@ -449,6 +447,14 @@ def _check_budget(count: int, what: str, *args, budget: int = DEFAULT_ENUM_BUDGE
         raise BudgetExceeded(what % (count, *args))
 
 
+def _check_two_lengths(m: int, n: int) -> None:
+    """The two-length rules: ``0 < m < n < 2 * m``, and ``m``, ``n`` coprime."""
+    if not (0 < m < n < 2 * m):
+        raise PreconditionViolated("lengths must satisfy 0 < short < long < 2*short")
+    if gcd(m, n) != 1:
+        raise PreconditionViolated("the two lengths must be coprime")
+
+
 def two_length_cofinite(
     s: WordSet, short_len: int, long_len: int, *, budget: int = DEFAULT_ENUM_BUDGET
 ) -> bool:
@@ -466,10 +472,7 @@ def two_length_cofinite(
     then take under ``2 * budget`` bytes.
     """
     m, n = short_len, long_len
-    if not (0 < m < n < 2 * m):
-        raise PreconditionViolated("lengths must satisfy 0 < short < long < 2*short")
-    if gcd(m, n) != 1:
-        raise PreconditionViolated("the two lengths must be coprime")
+    _check_two_lengths(m, n)
     if any(len(w) not in (m, n) for w in s.words):
         raise PreconditionViolated("every word must have one of the two lengths")
     sigma = len(s.alphabet)

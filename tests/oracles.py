@@ -79,6 +79,27 @@ def words_upto(alphabet, max_len):
             yield "".join(p)
 
 
+def finite_language(alphabet, rows, initial, finals):
+    """The words a complete DFA with rows ``rows`` accepts, in length and
+    then declared symbol order, or ``None`` when there are infinitely many.
+    The rows are stepped over every word up to length ``2n - 1``, ``n`` the
+    state count: by the pumping lemma the language is infinite exactly when
+    it accepts a word of length at least ``n``, and then it accepts one of
+    length below ``2n``."""
+    n = len(rows)
+    accepted = []
+    level = [("", initial)]
+    for length in range(2 * n):
+        if length:
+            level = [(w + c, rows[s][i]) for w, s in level for i, c in enumerate(alphabet)]
+        for w, s in level:
+            if s in finals:
+                if length >= n:
+                    return None
+                accepted.append(w)
+    return accepted
+
+
 def _stream_prefixes(first, blocks, cap):
     """Length-``cap`` prefixes of every stream of blocks that starts with
     ``first`` and continues with arbitrary choices from ``blocks``."""

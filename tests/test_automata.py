@@ -6,7 +6,7 @@ import re
 from math import gcd
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from frobword import automata
@@ -28,7 +28,7 @@ from frobword.automata import (
     to_dot,
 )
 from frobword.starlang import WordSet, minimal_star_dfa, window_star_dfa
-from oracles import moore_state_count, sieve_g_f, subset_table, words_upto
+from oracles import finite_language, moore_state_count, sieve_g_f, subset_table, words_upto
 
 
 def all_but_one_word():
@@ -235,6 +235,19 @@ def test_dfa_constructor_refuses_a_false_minimal_flag(rows, finals):
 def test_to_dot_smoke():
     s = to_dot(all_but_one_word(), "x")
     assert "digraph" in s and "->" in s
+
+
+def test_to_dot_escapes_quotes_and_backslashes_in_labels():
+    d = minimal_star_dfa(WordSet.of('a"\\', ["a", '"']))
+    symbols: dict[tuple[int, int], list[str]] = {}
+    for s, row in enumerate(d.transitions):
+        for c, t in zip(d.alphabet, row):
+            symbols.setdefault((s, t), []).append(c)
+    edges = re.findall(r"^  q(\d+) -> q(\d+) \[label=(.*)\];$", to_dot(d), re.M)
+    assert len(edges) == len(symbols)
+    for s, t, label in edges:
+        assert re.fullmatch(r'"(?:[^"\\]|\\.)*"', label)
+        assert re.sub(r"\\(.)", r"\1", label[1:-1]) == ",".join(symbols[int(s), int(t)])
 
 
 @st.composite
@@ -453,9 +466,9 @@ def test_is_cofinite_loop_check_agrees_with_the_full_analysis(d, flip):
 
 def test_is_cofinite_settles_a_rejecting_loop_without_the_full_analysis(monkeypatch):
     def unexpected(d):
-        raise AssertionError("_live_order ran")
+        raise AssertionError("_finite_paths ran")
 
-    monkeypatch.setattr(automata, "_live_order", unexpected)
+    monkeypatch.setattr(automata, "_finite_paths", unexpected)
     # the words ending in 1: the rejecting start state loops on 0
     d = determinize(Nfa.from_edges(2, "01", [(0, "0", 0), (0, "1", 0), (0, "1", 1)], [0], [1]))
     assert d.numbered and d.cols[0][0] == 0 and 0 not in d.finals
@@ -477,3 +490,48 @@ def test_minimize_of_a_numbered_minimal_table_equals_it():
     m = minimize(d)
     assert m == Dfa(d.alphabet, d.transitions, d.initial, d.finals, minimal=True)
     assert m.cols is d.cols
+
+
+@st.composite
+def small_dfas(draw):
+    """Complete DFAs with 1-5 states over alphabets whose declared order is
+    not always the character order; any state may be initial, so some
+    states may be unreachable.  Half of them only step to higher states, so
+    their one cycle is the last state's loop and finite languages are
+    common."""
+    alphabet = draw(st.sampled_from(["0", "01", "ba", "012"]))
+    n = draw(st.integers(min_value=1, max_value=5))
+    state = st.integers(min_value=0, max_value=n - 1)
+    forward = draw(st.booleans())
+    rows = tuple(
+        tuple(draw(st.integers(min(s + 1, n - 1) if forward else 0, n - 1)) for _ in alphabet)
+        for s in range(n)
+    )
+    return Dfa(alphabet, rows, draw(state), draw(st.frozensets(state)))
+
+
+def least_longest(words):
+    """The first longest of ``words`` listed in length, then symbol order."""
+    return next(w for w in words if len(w) == len(words[-1])) if words else None
+
+
+@settings(max_examples=300)
+@given(small_dfas(), st.booleans(), st.booleans())
+def test_finite_language_answers_match_enumeration(d, flip, minimal):
+    if flip:
+        d = complement(d)
+    if minimal:  # numbered, so is_cofinite's loop scan runs first
+        d = minimize(d)
+    words = finite_language(d.alphabet, d.transitions, d.initial, d.finals)
+    if words is None:
+        with pytest.raises(NotFinite):
+            count_words(d)
+        with pytest.raises(NotFinite):
+            longest_word(d)
+    else:
+        assert count_words(d) == len(words)
+        assert longest_word(d) == least_longest(words)
+    missed = finite_language(d.alphabet, d.transitions, d.initial, complement(d).finals)
+    assert is_cofinite(d) == (missed is not None)
+    expected = (False, None, None) if missed is None else (True, len(missed), least_longest(missed))
+    assert automata._omissions(d) == expected

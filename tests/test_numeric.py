@@ -103,3 +103,6 @@ def test_large_step_sizes_match_sieve(data):
     g, f = sieve_g_f(values, limit)
     assert frobenius_g(values) == g
     assert frobenius_f(values) == f
+    reach = sieve_reachable(values, limit)
+    for amount in (g, g + 1, data.draw(st.integers(min_value=0, max_value=limit))):
+        assert representable(amount, values) == reach[amount]

@@ -19,8 +19,10 @@ from frobword.automata import (
     is_cofinite,
     minimize,
 )
+from frobword.families import two_length_family
 from frobword.starlang import (
     BudgetExceeded,
+    PreconditionViolated,
     WordSet,
     chain_cofinite,
     chain_nfa,
@@ -416,3 +418,32 @@ def test_two_length_cofinite_budget():
     assert two_length_cofinite(fam.words, 3, 5, budget=2**14) is True
     with pytest.raises(BudgetExceeded, match="16384 words of length 14"):
         two_length_cofinite(fam.words, 3, 5, budget=2**14 - 1)
+
+
+CHAIN_CALLS = (
+    lambda xs: member_chain(xs, "0"),
+    lambda xs: chain_nfa(xs, "01"),
+    lambda xs: chain_cofinite(xs, "01"),
+)
+TWO_LENGTH_CALLS = (
+    lambda mn: two_length_family(*mn),
+    lambda mn: two_length_cofinite(WordSet.of("01", ["00", "000"]), *mn),
+)
+ORDER = "lengths must satisfy 0 < short < long < 2*short"
+
+
+@pytest.mark.parametrize(
+    "calls, arg, error, message",
+    [
+        (CHAIN_CALLS, [], ValueError, "empty chains are not meaningful"),
+        (CHAIN_CALLS, ["0", ""], ValueError, "chain words must be nonempty"),
+        (TWO_LENGTH_CALLS, (3, 7), PreconditionViolated, ORDER),
+        (TWO_LENGTH_CALLS, (2, 4), PreconditionViolated, ORDER),
+        (TWO_LENGTH_CALLS, (4, 6), PreconditionViolated, "the two lengths must be coprime"),
+    ],
+)
+def test_each_input_rule_raises_the_same_error_everywhere(calls, arg, error, message):
+    for call in calls:
+        with pytest.raises(error) as caught:
+            call(arg)
+        assert type(caught.value) is error and str(caught.value) == message

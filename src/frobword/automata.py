@@ -248,12 +248,10 @@ def determinize(nfa: Nfa, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
 
 
 def minimize(d: Dfa) -> Dfa:
-    """Minimal complete DFA for the same language: the quotient by
-    ``_refine``'s classes, numbered in order of their first state, so equal
-    languages built the same way yield identical tables.  When every class
-    is a single state, the table is its own quotient and is kept as it is."""
-    if d.minimal:
-        return d
+    """Minimal complete DFA for the same language: ``_refine``'s quotient,
+    its classes numbered in order of their first state, so equal languages
+    built the same way yield identical tables, flagged ``minimal`` or not.
+    A table whose classes are all single states is its own quotient, kept."""
     cols, finals, cls, count = _refine(d)
     if count < len(cls):
         reps = list(dict.fromkeys(cls))
@@ -354,9 +352,10 @@ def complement(d: Dfa) -> Dfa:
     return _new(Dfa, d.alphabet, d.cols, d.initial, finals, d.minimal, d.numbered)
 
 
-def _finite_paths(d: Dfa) -> tuple[list[int], list[int]]:
-    """Per state the initial one reaches, the number of words it accepts and
-    the length of its longest word (``-1`` for none); ``NotFinite`` when the
+def _finite_paths(d: Dfa) -> tuple[list[int], list[int], list[int]]:
+    """Per state the initial one reaches, the number of words it accepts,
+    the length of its longest word (``-1`` for none) and the first symbol in
+    alphabet order that starts one (``-1`` for none); ``NotFinite`` when the
     live states (reachable, and able to reach a final state) lie on a cycle.
 
     One iterative depth-first search (Tarjan 1972): it pushes all successors
@@ -367,9 +366,10 @@ def _finite_paths(d: Dfa) -> tuple[list[int], list[int]]:
     state; any other edge back leads to a dead state, which adds nothing.
     So a state's entries are final when it is finished, and the back-edge
     targets are checked once, at the end."""
-    cols, finals = d.cols, d.finals
+    cols, finals, indexed = d.cols, d.finals, tuple(enumerate(d.cols))
     count = [0] * d.state_count
     longest = [-1] * d.state_count
+    first = [-1] * d.state_count
     mark = [0] * d.state_count  # 0 unseen, 1 on the search path, 2 finished
     back = []  # targets of the edges back onto the path
     stack = [d.initial]
@@ -389,30 +389,31 @@ def _finite_paths(d: Dfa) -> tuple[list[int], list[int]]:
             mark[s] = 2
             total = 1 if s in finals else 0
             top = total - 1
-            for col in cols:
+            for a, col in indexed:
                 t = col[s]
                 if count[t]:  # a live successor
                     total += count[t]
                     if longest[t] >= top:
                         top = longest[t] + 1
+                        first[s] = a
             count[s], longest[s] = total, top
     if any(map(count.__getitem__, back)):
         raise NotFinite("live cycle: the language is infinite")
-    return count, longest
+    return count, longest, first
 
 
-def _spell_longest(d: Dfa, longest: list[int]) -> str | None:
-    """The longest word from ``initial`` by ``_finite_paths``' lengths, on
-    the first symbol whose target keeps it at each step; ``None`` for none."""
+def _spell_longest(d: Dfa, paths: tuple[list[int], list[int], list[int]]) -> str | None:
+    """The longest word from ``initial`` by ``_finite_paths``' ``paths``: a
+    walk on the symbol recorded at each state; ``None`` for none."""
+    _, longest, first = paths
     s, out = d.initial, []
-    while longest[s] > 0:
-        a = next(a for a, col in enumerate(d.cols) if longest[col[s]] == longest[s] - 1)
+    while (a := first[s]) >= 0:
         out.append(d.alphabet[a])
         s = d.cols[a][s]
     return "".join(out) if longest[d.initial] >= 0 else None
 
 
-def _complement_paths(d: Dfa) -> tuple[list[int], list[int]] | None:
+def _complement_paths(d: Dfa) -> tuple[list[int], list[int], list[int]] | None:
     """``_finite_paths`` of the complement, which accepts the words ``d``
     misses, or ``None`` when it is infinite.  Every state of a ``numbered``
     table is reachable, so a rejecting state there that loops to itself on
@@ -439,8 +440,8 @@ def longest_word(d: Dfa) -> str | None:
     """Longest accepted word, lexicographically least among ties in the
     declared symbol order; ``None`` when no word is accepted.  Requires a
     finite language (``NotFinite`` otherwise).  One ``_finite_paths``
-    search gives the lengths."""
-    return _spell_longest(d, _finite_paths(d)[1])
+    search gives the lengths and the symbols to spell it with."""
+    return _spell_longest(d, _finite_paths(d))
 
 
 def count_words(d: Dfa) -> int:
@@ -458,7 +459,7 @@ def _omissions(d: Dfa) -> tuple[bool, int | None, str | None]:
     paths = _complement_paths(d)
     if paths is None:
         return False, None, None
-    return True, paths[0][d.initial], _spell_longest(d, paths[1])
+    return True, paths[0][d.initial], _spell_longest(d, paths)
 
 
 def distinguishing_word(a: Dfa, b: Dfa) -> str | None:
@@ -491,7 +492,7 @@ def equivalent(a: Dfa, b: Dfa) -> bool:
 
 def state_complexity(d: Dfa) -> int:
     """Size of the minimal complete DFA, rejecting sink included: ``_refine``'s class count."""
-    return d.state_count if d.minimal else _refine(d)[3]
+    return _refine(d)[3]
 
 
 def has_dead_state(d: Dfa) -> bool:
@@ -502,23 +503,18 @@ def has_dead_state(d: Dfa) -> bool:
     )
 
 
-def to_dot(fa: Nfa | Dfa, name: str = "fa") -> str:
-    """GraphViz rendering for eyeballing small automata (debug only)."""
+def to_dot(d: Dfa, name: str = "fa") -> str:
+    """GraphViz rendering of a DFA for eyeballing small automata (debug
+    only): one edge per pair of states, labelled with its symbols."""
     lines = ["digraph %s {" % name, "  rankdir=LR;", '  start [shape=none,label=""];']
-    initials = fa.initial if isinstance(fa, Nfa) else [fa.initial]
-    for s in range(fa.state_count):
-        shape = "doublecircle" if s in fa.finals else "circle"
+    for s in range(d.state_count):
+        shape = "doublecircle" if s in d.finals else "circle"
         lines.append("  q%d [shape=%s,label=\"%d\"];" % (s, shape, s))
-    for s in initials:
-        lines.append("  start -> q%d;" % s)
+    lines.append("  start -> q%d;" % d.initial)
     grouped: dict[tuple[int, int], list[str]] = defaultdict(list)
-    for s in range(fa.state_count):
-        for i, c in enumerate(fa.alphabet):
-            targets = fa.transitions[s][i]
-            if isinstance(fa, Dfa):
-                targets = (targets,)
-            for t in targets:
-                grouped[(s, t)].append(c)
+    for c, col in zip(d.alphabet, d.cols):
+        for s, t in enumerate(col):
+            grouped[(s, t)].append(c)
     for (s, t), symbols in sorted(grouped.items()):
         label = ",".join(symbols).replace("\\", "\\\\").replace('"', '\\"')  # a DOT string
         lines.append('  q%d -> q%d [label="%s"];' % (s, t, label))

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from frobword.numeric import frobenius_g
+from frobword.numeric import frobenius_g, representable
 from frobword.starlang import PreconditionViolated, WordSet, _check_budget, _check_two_lengths
 
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
@@ -189,7 +189,15 @@ def longest_omitted_witness(fam: TwoLengthFamily) -> str:
 
 
 def omitted_count_lower_bound(fam: TwoLengthFamily) -> int:
-    """Floor on how many words the closure misses:
-    ``2**c - c - 1`` with ``c = sigma**(long_len - short_len)``."""
-    c = len(fam.alphabet) ** (fam.long_len - fam.short_len)
-    return 2**c - c - 1
+    """Floor on how many words the closure misses: every word whose length
+    is a gap of the two lengths (no sum of them), and every excluded word.
+
+    A word of the closure has a length that is a sum of ``short_len`` and
+    ``long_len``, so each word of a gap length is missed.  As ``short_len <
+    long_len < 2 * short_len``, the only such sum equal to ``long_len`` is
+    ``long_len`` itself, so a word of that length is in the closure only if
+    it is in the set, which no excluded word is.  That length is no gap, so
+    no word is counted twice, over any alphabet."""
+    m, n = fam.short_len, fam.long_len
+    gaps = [k for k in range(1, m * n) if not representable(k, (m, n))]  # none past m*n - m - n
+    return sum(len(fam.alphabet) ** k for k in gaps) + len(fam.excluded)

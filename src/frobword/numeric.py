@@ -83,13 +83,12 @@ def frobenius_f(values: Iterable[int]) -> int:
 
     Same preconditions and degenerate convention as ``frobenius_g``.  In the
     residue class ``r`` the unreachable amounts are exactly those below the
-    class minimum, which gives the count without any sieving.
+    class minimum, which gives the count without any sieving (0 for a step
+    of 1, which leaves no class but 0).
     """
     vals = _normalized(values)
     if gcd(*vals) != 1:
         raise GcdNotOne("step sizes %r have gcd %d" % (vals, gcd(*vals)))
-    if vals[0] == 1:
-        return 0
     dist = _residue_minima(vals)
     base = vals[0]
     return sum((dist[r] - r) // base for r in range(1, base))

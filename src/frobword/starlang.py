@@ -248,13 +248,9 @@ def window_star_dfa(s: WordSet, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
 
 
 def pending_star_dfa(s: WordSet, state_cap: int = DEFAULT_STATE_CAP) -> tuple[Dfa, int]:
-    """``determinize(trie_star_nfa(s))``, a quotient of the window acceptor,
-    and the number of window states (which the cap counts).  The pending
-    suffixes of ``(recent, marks)`` are its ``recent[-a:]`` (``""`` at mark 0)
-    that are proper prefixes of a set word.  They fix the state's future, and
-    so do their states in the suffix-merged trie, so the window states that
-    reach the same trie states are one subset state.  The window states are
-    counted first, without building a row."""
+    """``determinize(trie_star_nfa(s), state_cap)``, a quotient of the window
+    acceptor, and the number of window states, which are counted (and
+    capped) first, without building a row."""
     count = len(_window_search(s, state_cap)[0])
     return determinize(trie_star_nfa(s), state_cap), count
 
@@ -390,34 +386,31 @@ def measure_all(
 ) -> MeasureReport:
     """Compute all measures for one word set.
 
-    Each side builds its minimal DFA and reads every omission measure off
-    it with ``_omissions``: a side is the full language when it omits no
-    word, and the chain's co-finiteness is its automaton's verdict
-    (``chain_cofinite`` is the prediction ``verify chain-cofinite`` checks
-    against it).  The star side is ``pending_star_dfa``: the window states
-    are counted (and capped) and reported as ``window_dfa_states``, and the
-    subset automaton of the suffix-merged trie is minimized; no window
-    acceptor is built.  ``xs_order`` fixes the order of the chain of stars
-    and may repeat words; it must use exactly the words of the set.  It
-    defaults to the set's canonical order.  ``star=False`` or
-    ``chain=False`` skips that side entirely (the corresponding fields come
-    back ``None``).
+    The window states are counted (and capped) first and reported as
+    ``window_dfa_states``; no window acceptor is built.  Each side is then
+    built as ``minimal_star_dfa`` and ``minimal_chain_dfa`` build it, and
+    every omission measure is read off its minimal DFA with ``_omissions``:
+    a side is the full language when it omits no word, and the chain's
+    co-finiteness is its automaton's verdict (``chain_cofinite`` is the
+    prediction ``verify chain-cofinite`` checks against it).  ``xs_order``
+    fixes the order of the chain of stars and may repeat words; it must use
+    exactly the words of the set.  It defaults to the set's canonical order.
+    ``star=False`` or ``chain=False`` skips that side entirely (the
+    corresponding fields come back ``None``).
     """
     if xs_order is None:
         xs_order = list(s.words)
     if set(xs_order) != set(s.words):
         raise ValueError("chain order must use exactly the words of the set")
 
-    star_cof = count = wit = star_min = window_states = None
+    star_min = window_states = chain_min = None
     if star:
-        quotient, window_states = pending_star_dfa(s, state_cap)
-        star_min = minimize(quotient)
-        star_cof, count, wit = _omissions(star_min)
-
-    chain_cof = chain_count = chain_wit = chain_min = None
+        window_states = len(_window_search(s, state_cap)[0])
+        star_min = minimal_star_dfa(s, state_cap)
     if chain:
         chain_min = minimal_chain_dfa(xs_order, s.alphabet, state_cap)
-        chain_cof, chain_count, chain_wit = _omissions(chain_min)
+    sides = [(None, None, None) if d is None else _omissions(d) for d in (star_min, chain_min)]
+    (star_cof, count, wit), (chain_cof, chain_count, chain_wit) = sides
 
     return MeasureReport(
         cofinite_star=star_cof,

@@ -149,6 +149,11 @@ def test_minimize_idempotent_and_canonical():
     d = all_but_one_word()
     m = minimize(d)
     assert minimize(m) == m
+    # a table flagged minimal is renumbered like any other, from initial 0
+    rows = ((0, 1), (1, 0))
+    flagged = minimize(Dfa("01", rows, 1, {1}, minimal=True))
+    assert flagged.initial == 0 and flagged.numbered
+    assert flagged == minimize(Dfa("01", rows, 1, {1}))
 
 
 def test_complement_flips_membership():
@@ -224,7 +229,8 @@ def test_state_complexity_counts_minimal_states():
     ],
 )
 def test_dfa_constructor_refuses_a_false_minimal_flag(rows, finals):
-    # state_complexity and minimize return a minimal-flagged table as it is
+    # the flag is a checked promise; state_complexity and minimize read the
+    # table, not the flag
     with pytest.raises(ValueError, match="minimal=True"):
         Dfa("01", rows, 0, finals, minimal=True)
     d = Dfa("01", rows, 0, finals)

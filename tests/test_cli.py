@@ -220,9 +220,9 @@ def test_measure_dot_debug_flag(tmp_path, capsys):
 
 
 def test_measure_dot_reuses_the_measured_dfas(tmp_path, capsys, monkeypatch):
-    # measure builds each side once (the star side by the subset construction
-    # of the trie, its window states only counted, never the full window
-    # acceptor) and writes those DFAs
+    # measure builds each side once, the way the library builds it (the star
+    # side with minimal_star_dfa, its window states only counted, never the
+    # full window acceptor or pending_star_dfa), and writes those DFAs
     from frobword import starlang
     from frobword.automata import to_dot
 
@@ -241,12 +241,12 @@ def test_measure_dot_reuses_the_measured_dfas(tmp_path, capsys, monkeypatch):
 
         return build
 
-    for name in ("pending_star_dfa", "window_star_dfa", "chain_nfa"):
+    for name in ("minimal_star_dfa", "pending_star_dfa", "window_star_dfa", "chain_nfa"):
         monkeypatch.setattr(starlang, name, counted(name))
     prefix = str(tmp_path / "g")
     code, _, _ = run(capsys, "measure", f, "--no-timing", "--dot", prefix)
     assert code == EXIT_OK
-    assert sorted(calls) == ["chain_nfa", "pending_star_dfa"]
+    assert sorted(calls) == ["chain_nfa", "minimal_star_dfa"]
     assert (tmp_path / "g.star.dot").read_text() == want_star
     assert (tmp_path / "g.chain.dot").read_text() == want_chain
 
@@ -414,7 +414,7 @@ PINNED_TABLES = {
         "5af0a4c5b4c6c3b9c7d9a5bd74e49b28bb394924249c0eb65c987db577381658",
     ),
     "st": ([], "f25f1ff58877d734c67d8349947b9fb0e513071617e45e674a90a1de264ea108"),
-    "tmn": ([], "9933eb0310b974d24c3dd2d81c681528a8a40dec8563583c5c3f32d74b15115c"),
+    "tmn": ([], "17f6ceb2e3430154abfef86b4d03b139fa2aef1fb45871c5104d8c7101fb6a97"),
     "chain-cofinite": ([], "b0ad0dbc58c046fce238b92cd21cd32896ba5fb2e56192419ce8e4c86ab958a0"),
     "bounds": (["--count", "10"], "0d2e56d5fd8766b796a0fd25cabbfba37b1c27e008e6049ecf35ac868fc5ab3f"),
 }

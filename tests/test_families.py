@@ -29,6 +29,7 @@ from frobword.starlang import (
     minimal_star_dfa,
     trie_star_nfa,
 )
+from oracles import closure_upto, words_upto
 
 
 def test_base_repr():
@@ -92,7 +93,7 @@ def test_two_length_shape_23():
     assert fam.seed_word == "001"
     assert predicted_longest_omitted(fam) == 3
     assert longest_omitted_witness(fam) == "001"
-    assert omitted_count_lower_bound(fam) == 1
+    assert omitted_count_lower_bound(fam) == 3  # 0, 1 (length 1 is a gap) and 001
 
 
 def test_two_length_shape_35():
@@ -103,7 +104,20 @@ def test_two_length_shape_35():
     assert fam.seed_word == "00001010011"
     assert predicted_longest_omitted(fam) == 25
     assert longest_omitted_witness(fam) == "00001010011" + "000" + "00001010011"
-    assert omitted_count_lower_bound(fam) == 11
+    assert omitted_count_lower_bound(fam) == 153  # gaps 1, 2, 4, 7: 2 + 4 + 16 + 128, and 3 excluded
+
+
+@pytest.mark.parametrize(
+    "sigma, m, n", [(sigma, 2, 3) for sigma in range(2, 7)] + [(2, 3, 4), (3, 3, 4)]
+)
+def test_omitted_count_floor_is_at_most_a_brute_force_count(sigma, m, n):
+    # every word the floor counts is at most max(n, m*n - m - n) long, so the
+    # omitted words up to that length, counted from the definitions, bound it
+    fam = two_length_family(m, n, "012345"[:sigma])
+    upto = max(n, m * n - m - n)
+    closure = closure_upto(fam.words.words, upto)
+    omitted = sum(1 for w in words_upto(fam.alphabet, upto) if w not in closure)
+    assert omitted_count_lower_bound(fam) <= omitted
 
 
 def test_two_length_excluded_words_are_not_members():

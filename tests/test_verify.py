@@ -84,6 +84,8 @@ def test_suite_tmn_small():
     assert r.passed
     assert any("decision" in row.instance for row in r.rows)
     assert any("pumping" in row.instance for row in r.rows)
+    # over four letters the closure omits 10 words: the floor must not say more
+    assert suite_tmn(2, 3, "0123").passed
 
 
 def test_suite_chain_cofinite_small():

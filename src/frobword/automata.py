@@ -264,11 +264,11 @@ def minimize(d: Dfa) -> Dfa:
 def _refine(d: Dfa) -> tuple[tuple[tuple[int, ...], ...], frozenset[int], list, int]:
     """``d``'s reachable columns and finals, numbered breadth-first in symbol
     order (a ``numbered`` table as it is), the coarsest partition of their
-    states (``cls[s]`` the least state of ``s``'s class) and its class count.
-    Moore rounds refine the accept/reject split by the signatures (own class,
-    class of each successor) until a round splits nothing or every class is
-    a single state (``cls`` is then unused); Moore can need about as many
-    rounds as there are states, so Hopcroft finishes after ``2 * n.bit_length()``."""
+    states (``cls[s]`` the least state of ``s``'s class, unused when all are
+    single states) and its class count.  Moore rounds split the accept/reject
+    partition by signatures (own class, each successor's class) until one
+    splits nothing; Moore can need about as many rounds as there are states,
+    so ``_hopcroft`` finishes both after ``2 * n.bit_length()`` rounds."""
     cols, finals = d.cols, d.finals
     if not d.numbered:
         ids = {d.initial: 0}
@@ -294,14 +294,13 @@ def _refine(d: Dfa) -> tuple[tuple[tuple[int, ...], ...], frozenset[int], list, 
         count = len(sig)
     else:
         if count < n:
-            cls = _hopcroft(cols, cls)
-            count = len(set(cls))
+            cls, count = _hopcroft(cols, cls)
     return cols, finals, cls, count
 
 
-def _hopcroft(cols: tuple[tuple[int, ...], ...], cls: list) -> list[int]:
-    """Coarsest refinement of the partition ``cls`` (state -> label) that
-    every column respects; the worklist starts with every block."""
+def _hopcroft(cols: tuple[tuple[int, ...], ...], cls: list) -> tuple[list[int], int]:
+    """Coarsest refinement of the partition ``cls`` (state -> label) that every
+    column respects, with its block count; the worklist starts with every block."""
     n = len(cls)
     pre: list[list[list[int]]] = []
     for col in cols:
@@ -343,7 +342,7 @@ def _hopcroft(cols: tuple[tuple[int, ...], ...], cls: list) -> list[int]:
                 work.append(add)
 
     low = [min(p) for p in parts]
-    return [low[i] for i in part_of]
+    return [low[i] for i in part_of], len(parts)
 
 
 def complement(d: Dfa) -> Dfa:

@@ -15,14 +15,15 @@ Exit codes: 0 success, 1 a verified invariant was violated, 2 a resource
 limit was hit (``CapExceeded``, ``BudgetExceeded``, ``MemoryError``,
 ``RecursionError``), 3 bad input (usage errors, ``OSError``,
 ``ValueError``); the commands raise and ``main`` maps.  ``measure
---state-cap`` sets the determinization cap, ``DEFAULT_STATE_CAP`` unless
-given.
+--state-cap`` sets the state cap, ``DEFAULT_STATE_CAP`` unless given; it
+bounds the window search first, then each subset construction.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import sys
 import time
@@ -216,18 +217,16 @@ def cmd_gen(args) -> int:
 # verify
 
 
-# suite -> (its function's name in ``verify``, looked up per call so that a
-# wrapper installed there sees it; the parameters its flags set).  Verify flags
+# Every ``suite_*`` function in ``verify`` is a suite whose flags set its
+# parameters, read here before anything wraps the function.  The function is
+# looked up per call, so that a wrapper installed there sees it.  Verify flags
 # default to None and only the given ones are passed, so each default lives
 # once, in the suite's signature.  A flag the suite does not read is bad input,
 # except ``--seed``, the replay key every suite accepts.  ``--shallow`` sets ``deep``.
 SUITES = {
-    "unary": ("suite_unary", ("count", "seed")),
-    "pairs": ("suite_pairs", ("max_len", "agreement_total")),
-    "st": ("suite_st", ("t_max",)),
-    "tmn": ("suite_tmn", ("m", "n", "alphabet")),
-    "chain-cofinite": ("suite_chain_cofinite", ("count", "seed")),
-    "bounds": ("suite_bounds", ("count", "seed", "deep")),
+    name[6:].replace("_", "-"): (name, tuple(inspect.signature(func).parameters))
+    for name, func in vars(verify_mod).items()
+    if name.startswith("suite_")
 }
 
 
@@ -318,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-timing", action="store_true", help="null wall_time_ms for byte-stable output"
     )
     m.add_argument("--dot", metavar="PREFIX", help="also write PREFIX.{star,chain}.dot")
-    m.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP, help="determinization state cap")
+    m.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP, help="caps window and subset states")
     m.set_defaults(func=cmd_measure)
 
     g = sub.add_parser("gen", help="print a built-in family as a word-set file")
@@ -370,11 +369,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CapExceeded as exc:
-        print("error: state cap exceeded: %s" % exc, file=sys.stderr)
-        return EXIT_CAP
-    except BudgetExceeded as exc:
-        print("error: budget exceeded: %s" % exc, file=sys.stderr)
+    except (CapExceeded, BudgetExceeded) as exc:
+        limit = "state cap" if isinstance(exc, CapExceeded) else "budget"
+        print("error: %s exceeded: %s" % (limit, exc), file=sys.stderr)
         return EXIT_CAP
     except (MemoryError, RecursionError) as exc:
         what = "out of memory" if isinstance(exc, MemoryError) else "recursion too deep"

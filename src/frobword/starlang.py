@@ -157,12 +157,11 @@ def _levels(alphabet: str, max_len: int, blocks) -> list[bytearray]:
     levels = [bytearray(sigma**n) for n in range(max_len + 1)]
     levels[0][0] = 1
     for block in blocks:
+        spots = [(len(w), sum(alphabet.index(a) * sigma**j for j, a in enumerate(w[::-1]))) for w in block]
         for n in range(1, max_len + 1):
-            for w in block:
-                if len(w) <= n:
-                    c = sum(alphabet.index(a) * sigma**j for j, a in enumerate(reversed(w)))
-                    step = sigma ** len(w)
-                    levels[n][c::step] = bytes(map(or_, levels[n][c::step], levels[n - len(w)]))
+            for k, c in spots:
+                if k <= n:
+                    levels[n][c::sigma**k] = bytes(map(or_, levels[n][c::sigma**k], levels[n - k]))
     return levels
 
 
@@ -229,8 +228,8 @@ def window_star_dfa(s: WordSet, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
     Only reachable states are built, breadth-first in symbol order, and the
     automaton is complete by construction.  Reachable states never exceed
     ``window_state_bound(len(alphabet), max_word_length)``.  The states are
-    those ``pending_star_dfa`` counts; the rows come from a second pass over
-    the moves of each window.
+    the codes ``_window_search`` reaches, numbered in the order it reaches
+    them; each row applies that window's moves to the state's marks again.
     """
     codes, moves = _window_search(s, state_cap)
     shift = s.max_word_length
@@ -239,8 +238,8 @@ def window_star_dfa(s: WordSet, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
     flat: list[int] = []  # the table row by row
     for code in codes:
         marks = code & low
-        for base, keep, hits in moves[code >> shift]:
-            flat.append(ids[base | ((marks << 1) & keep) | (1 if marks & hits else 0)])
+        for base, hits in moves[code >> shift]:
+            flat.append(ids[base | ((marks << 1) & low) | (1 if marks & hits else 0)])
     sigma = len(s.alphabet)
     cols = tuple(tuple(flat[a::sigma]) for a in range(sigma))
     finals = frozenset(j for j, code in enumerate(codes) if code & 1)
@@ -255,19 +254,20 @@ def pending_star_dfa(s: WordSet, state_cap: int = DEFAULT_STATE_CAP) -> tuple[Df
     return determinize(trie_star_nfa(s), state_cap), count
 
 
-def _window_search(s: WordSet, state_cap: int) -> tuple[list[int], list[list[tuple[int, int, int]]]]:
+def _window_search(s: WordSet, state_cap: int) -> tuple[list[int], list[list[tuple[int, int]]]]:
     """Breadth-first search of the window states, coded ``recent_id << shift
     | marks`` with mark ``a`` as bit ``a``.  Returns the reached codes in
     order and, per window id, its moves: for each symbol the next window's
-    id shifted into place, ``keep`` (the shifted marks still in reach) and
-    ``hits`` (the offsets from which a word ends at the new symbol).  Each
-    window's moves are worked out once, with one slice per word length."""
+    id shifted into place and ``hits`` (the offsets from which a word ends
+    at the new symbol), worked out once with one slice per word length.  A
+    window of ``r < shift`` symbols marks only bits ``0..r``, so ``low``
+    clears only the shifted mark that a full window pushes out of reach."""
     index = _length_index(s.words)
     shift = s.max_word_length
     low = (1 << shift) - 1
     recents = [""]
     recent_ids = {"": 0}
-    moves: list[list[tuple[int, int, int]]] = []
+    moves: list[list[tuple[int, int]]] = []
     codes = [1]
     seen = {1}
     for code in codes:  # grows as codes are reached
@@ -281,13 +281,12 @@ def _window_search(s: WordSet, state_cap: int) -> tuple[list[int], list[list[tup
                 nid = recent_ids.setdefault(nrecent, len(recents))
                 if nid == len(recents):
                     recents.append(nrecent)
-                keep = (1 << (len(nrecent) + 1)) - 2
                 hits = sum(1 << (n - 1) for n, bucket in index.items() if ext[-n:] in bucket)
-                per_symbol.append((nid << shift, keep, hits))
+                per_symbol.append((nid << shift, hits))
             moves.append(per_symbol)
         marks = code & low
-        for base, keep, hits in moves[rid]:
-            state = base | ((marks << 1) & keep) | (1 if marks & hits else 0)
+        for base, hits in moves[rid]:
+            state = base | ((marks << 1) & low) | (1 if marks & hits else 0)
             if state not in seen:
                 if len(codes) >= state_cap:
                     raise CapExceeded("window construction exceeded %d states" % state_cap)

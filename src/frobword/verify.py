@@ -87,6 +87,12 @@ class SuiteReport:
     def add(self, instance: str, predicted, actual, ok: bool) -> None:
         self.rows.append(CheckRow(instance, str(predicted), str(actual), ok))
 
+    def limit(self, instance: str, predicted, exc: CapExceeded | BudgetExceeded) -> None:
+        """A failed row for a state cap or budget hit, counted as a cap event."""
+        self.cap_events += 1
+        kind = "cap" if isinstance(exc, CapExceeded) else "budget"
+        self.add(instance, predicted, "%s exceeded: %s" % (kind, exc), False)
+
     def tally(self, instance: str, noun: str, bad: int) -> None:
         """A summary row: ``0 <noun>`` predicted, ``<bad> <noun>`` found."""
         self.add(instance, "0 " + noun, "%d %s" % (bad, noun), bad == 0)
@@ -287,8 +293,7 @@ def suite_st(t_max: int = 5) -> SuiteReport:
         try:
             d = minimal_star_dfa(fam.words)
         except CapExceeded as exc:
-            report.cap_events += 1
-            report.add("t=%d" % t, star_blowup_sc(t), "cap exceeded: %s" % exc, False)
+            report.limit("t=%d" % t, star_blowup_sc(t), exc)
             break
         predicted = star_blowup_sc(t)
         report.add("t=%d size (sink counted)" % t, predicted, d.state_count, d.state_count == predicted)
@@ -315,8 +320,7 @@ def suite_tmn(m: int = 3, n: int = 5, alphabet: str = "01") -> SuiteReport:
         decided = two_length_cofinite(s, m, n)
         report.add("decision procedure", True, decided, decided is True)
     except BudgetExceeded as exc:
-        report.cap_events += 1
-        report.add("decision procedure", True, "budget exceeded: %s" % exc, False)
+        report.limit("decision procedure", True, exc)
 
     measured = measure_all(s, chain=False)
     cof = measured.cofinite_star
@@ -387,18 +391,13 @@ def suite_chain_cofinite(count: int = 100, seed: int = DEFAULT_SEED) -> SuiteRep
             else:
                 xs.append("".join(rng.choice(alphabet) for _ in range(n)))
         predicted = chain_cofinite(xs, alphabet)
+        instance = "chain %s over %r" % ("/".join(xs), alphabet)
         try:
             actual = is_cofinite(minimal_chain_dfa(xs, alphabet))
         except CapExceeded as exc:
-            report.cap_events += 1
-            report.add("chain %s" % (xs,), predicted, "cap exceeded: %s" % exc, False)
+            report.limit(instance, predicted, exc)
             continue
-        report.add(
-            "chain %s over %r" % ("/".join(xs), alphabet),
-            predicted,
-            actual,
-            predicted == actual,
-        )
+        report.add(instance, predicted, actual, predicted == actual)
     return report
 
 

@@ -22,6 +22,7 @@ from frobword.automata import (
 )
 from frobword.families import (
     longest_omitted_witness,
+    omitted_count_lower_bound,
     predicted_longest_omitted,
     star_blowup_family,
     star_blowup_sc,
@@ -180,12 +181,13 @@ def test_criterion_06_two_length_family():
 def test_criterion_07_omitted_count():
     fam = two_length_family(3, 5)
     count = count_words(complement(minimal_star_dfa(fam.words)))
-    ok = count >= 11 and count == 792
+    floor = omitted_count_lower_bound(fam)
+    ok = count >= floor and count == 792
     _line(
         7,
         ok,
-        "omitted count for (3,5) = %d, at least 2^4-4-1 = 11 and equal to the recorded 792"
-        % count,
+        "omitted count for (3,5) = %d, at least the family's floor %d and equal to the recorded 792"
+        % (count, floor),
     )
 
 

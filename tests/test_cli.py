@@ -521,6 +521,16 @@ def test_two_length_budget_exits_cap_before_enumerating(capsys, command):
     assert err == "error: budget exceeded: two-length family would enumerate %d words of length 39\n" % 2**39
 
 
+def test_verify_budget_row_exits_cap(capsys):
+    # (4,7) decides co-finiteness at length 4 * 2**3 + 3 = 35, past the budget
+    code, out, err = run(capsys, "verify", "tmn", "--m", "4", "--n", "7")
+    rows = [line.split("\t") for line in out.splitlines()[1:]]
+    assert (code, err) == (EXIT_CAP, "# suite tmn: 9 checks, 1 failures, 1 cap events\n")
+    budget = "budget exceeded: would enumerate %d words of length 35" % 2**35
+    assert rows[0] == ["decision procedure", "True", budget, "FAIL"]
+    assert [row[3] for row in rows[1:]] == ["ok"] * 8
+
+
 # the counts come from the closed forms: 1 + t(t+1) symbols in the star family,
 # (t+1)(t-2)/2 + 2t repeats of that in the chain family, n(n+1)/2 + n**2 pair
 # automata over the n = 2**(L+1) - 2 words, and (T-2) 2**(T+1) + 4 agreement pairs

@@ -15,11 +15,13 @@ from frobword.automata import (
     CapExceeded,
     Dfa,
     determinize,
+    distinguishing_word,
     equivalent,
     is_cofinite,
     minimize,
 )
-from frobword.families import two_length_family
+from frobword.families import base_repr, star_blowup_sc, star_blowup_sc_floor, two_length_family
+from frobword.numeric import representable
 from frobword.starlang import (
     BudgetExceeded,
     PreconditionViolated,
@@ -447,3 +449,34 @@ def test_each_input_rule_raises_the_same_error_everywhere(calls, arg, error, mes
         with pytest.raises(error) as caught:
             call(arg)
         assert type(caught.value) is error and str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: WordSet.of("01", []), ValueError, "at least one word is required"),
+        (lambda: chain_nfa(["2"], "01"), ValueError, "chain words use characters outside '01'"),
+        (
+            lambda: two_length_cofinite(WordSet.of("01", ["0", "000", "00000"]), 3, 5),
+            PreconditionViolated,
+            "every word must have one of the two lengths",
+        ),
+        (lambda: representable(-1, [2, 3]), ValueError, "amount must be nonnegative"),
+        (lambda: star_blowup_sc(1), PreconditionViolated, "the family needs t >= 2"),
+        (lambda: star_blowup_sc_floor(1), PreconditionViolated, "the family needs t >= 2"),
+        (lambda: base_repr(1, 1, 2), ValueError, "base must be at least 2"),
+        (lambda: base_repr(1, 2, 0), ValueError, "width must be positive"),
+        (lambda: base_repr(1, 3, 2, symbols="ab"), ValueError, "need at least 3 digit symbols"),
+        (
+            lambda: distinguishing_word(
+                minimal_star_dfa(WordSet.of("0", ["0"])), minimal_star_dfa(WordSet.of("01", ["0"]))
+            ),
+            ValueError,
+            "automata use different alphabets",
+        ),
+    ],
+)
+def test_each_one_call_input_rule_raises_its_error(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error and str(caught.value) == message

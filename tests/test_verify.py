@@ -79,6 +79,20 @@ def test_suite_st_stops_at_its_first_cap_event(monkeypatch):
     assert [row.instance for row in r.failures()] == ["t=4"]
 
 
+def test_suite_chain_cofinite_names_a_capped_instance_as_its_ok_row(monkeypatch):
+    ok = suite_chain_cofinite(count=1, seed=3).rows[0]
+
+    def capped(xs, alphabet):
+        raise CapExceeded("subset construction exceeded 1 states")
+
+    monkeypatch.setattr(verify, "minimal_chain_dfa", capped)
+    r = suite_chain_cofinite(count=1, seed=3)
+    assert r.cap_events == 1
+    assert [(row.instance, row.predicted, row.actual, row.ok) for row in r.rows] == [
+        (ok.instance, ok.predicted, "cap exceeded: subset construction exceeded 1 states", False)
+    ]
+
+
 def test_suite_tmn_small():
     r = suite_tmn(2, 3)
     assert r.passed
@@ -121,6 +135,8 @@ FAULTS = {
     ("0", "00"): 1,
     ("1", "10"): 1,
 }
+# and this pair gets its agreement length moved up by one, past its bound
+AGREEMENT_FAULT = ("1", "0")
 
 # the rows suite_pairs(max_len=3, agreement_total=2) gives under those faults
 FAULTY_PAIRS_ROWS = [
@@ -140,7 +156,8 @@ FAULTY_PAIRS_ROWS = [
     ('concat bound, 170 non-commuting pairs', '0 violations', '3 violations', False),
     ('concat bound tightness', '>= 1 pair attains it', '27 attain (first 0* 001*)', True),
     ('concat commuting formula, 26 pairs', '0 mismatches', '3 mismatches', False),
-    ('agreement bound, 2 non-commuting pairs', '0 violations', '0 violations', True),
+    ('agreement (1,0)', '<= 0', '1', False),
+    ('agreement bound, 2 non-commuting pairs', '0 violations', '1 violations', False),
 ]
 
 
@@ -154,6 +171,8 @@ def test_suite_pairs_reports_planted_faults(monkeypatch):
 
     for name in ("predicted_pair_star_sc", "predicted_pair_concat_sc"):
         monkeypatch.setattr(verify, name, off_by_one(getattr(verify, name)))
+    agreement = verify.fine_wilf_agreement
+    monkeypatch.setattr(verify, "fine_wilf_agreement", lambda w, x: agreement(w, x) + ((w, x) == AGREEMENT_FAULT))
     r = suite_pairs(max_len=3, agreement_total=2)
     assert [(row.instance, row.predicted, row.actual, row.ok) for row in r.rows] == FAULTY_PAIRS_ROWS
 

@@ -146,18 +146,23 @@ def member_chain(xs: Sequence[str], word: str) -> bool:
     return len(word) in positions
 
 
+def _rank(alphabet: str, w: str) -> int:
+    """The index of ``w`` among the words of its length, in ``itertools.product`` order."""
+    return sum(alphabet.index(a) * len(alphabet) ** j for j, a in enumerate(reversed(w)))
+
+
 def _levels(alphabet: str, max_len: int, blocks) -> list[bytearray]:
     """The words up to ``max_len`` of ``blocks[0]* blocks[1]* ...`` (each
     block a collection of words), generated from the definition: level ``n``
-    holds one flag per word of length ``n``, in ``itertools.product`` order.
-    Appending a word of length ``k`` and index ``c`` to the word of index
-    ``u`` gives index ``u * sigma**k + c``, so appending it to a whole level
-    is one strided slice; levels grow upwards, so they include repeats."""
+    holds one flag per word of length ``n``, at its ``_rank``.  Appending a
+    word of length ``k`` and rank ``c`` to the word of rank ``u`` gives rank
+    ``u * sigma**k + c``, so appending it to a whole level is one strided
+    slice; levels grow upwards, so they include repeats."""
     sigma = len(alphabet)
     levels = [bytearray(sigma**n) for n in range(max_len + 1)]
     levels[0][0] = 1
     for block in blocks:
-        spots = [(len(w), sum(alphabet.index(a) * sigma**j for j, a in enumerate(w[::-1]))) for w in block]
+        spots = [(len(w), _rank(alphabet, w)) for w in block]
         for n in range(1, max_len + 1):
             for k, c in spots:
                 if k <= n:
@@ -227,9 +232,9 @@ def window_star_dfa(s: WordSet, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
 
     Only reachable states are built, breadth-first in symbol order, and the
     automaton is complete by construction.  Reachable states never exceed
-    ``window_state_bound(len(alphabet), max_word_length)``.  The states are
-    the codes ``_window_search`` reaches, numbered in the order it reaches
-    them; each row applies that window's moves to the state's marks again.
+    ``window_state_bound(len(alphabet), max_word_length)``.  They are the
+    codes ``_window_search`` reaches (``recent`` numbered by length, then
+    rank), in reach order; each row applies its window's moves to its marks.
     """
     codes, moves = _window_search(s, state_cap)
     shift = s.max_word_length
@@ -255,37 +260,33 @@ def pending_star_dfa(s: WordSet, state_cap: int = DEFAULT_STATE_CAP) -> tuple[Df
 
 
 def _window_search(s: WordSet, state_cap: int) -> tuple[list[int], list[list[tuple[int, int]]]]:
-    """Breadth-first search of the window states, coded ``recent_id << shift
-    | marks`` with mark ``a`` as bit ``a``.  Returns the reached codes in
-    order and, per window id, its moves: for each symbol the next window's
-    id shifted into place and ``hits`` (the offsets from which a word ends
-    at the new symbol), worked out once with one slice per word length.  A
-    window of ``r < shift`` symbols marks only bits ``0..r``, so ``low``
-    clears only the shifted mark that a full window pushes out of reach."""
-    index = _length_index(s.words)
-    shift = s.max_word_length
+    """Breadth-first search of the window states, coded ``window << shift |
+    marks`` with mark ``a`` as bit ``a``; the windows, all strings shorter
+    than ``shift``, are numbered by length, then ``_rank``, and capped first.
+    Returns the codes in order and each window's moves: per symbol ``c``, the
+    next window shifted into place and ``hits``, the offsets from which a word
+    ends at ``c``.  A window of ``r < shift`` symbols marks only bits ``0..r``,
+    so ``low`` clears only the shifted mark a full window pushes out of reach."""
+    sigma, shift = len(s.alphabet), s.max_word_length
+    first, power = [0], [1]  # strings shorter than k, and of length k, while under the cap
+    while len(first) <= shift and first[-1] <= max(state_cap, 1):
+        first.append(first[-1] + power[-1])
+        power.append(power[-1] * sigma)
+    if first[-1] > max(state_cap, 1):  # the start state is never refused
+        raise CapExceeded("window construction exceeded %d states" % state_cap)
+    ends = {k: {_rank(s.alphabet, w) for w in bucket} for k, bucket in _length_index(s.words).items()}
+    full = first[shift - 1]  # a full window drops its oldest symbol
+    moves: list[list[tuple[int, int]]] = [[] for _ in range(first[shift])]
+    for x in range(1, first[shift] * sigma + 1):  # x = u * sigma + c + 1: window u, then symbol c
+        hits = sum(1 << (k - 1) for k in ends if x >= first[k] and (x - first[k]) % power[k] in ends[k])
+        after = x if x < first[shift] else full + (x - full) % power[shift - 1]
+        moves[(x - 1) // sigma].append((after << shift, hits))
     low = (1 << shift) - 1
-    recents = [""]
-    recent_ids = {"": 0}
-    moves: list[list[tuple[int, int]]] = []
     codes = [1]
     seen = {1}
     for code in codes:  # grows as codes are reached
-        rid = code >> shift
-        while len(moves) <= rid:
-            recent = recents[len(moves)]
-            per_symbol = []
-            for c in s.alphabet:
-                ext = recent + c
-                nrecent = ext if len(ext) < shift else ext[1:]
-                nid = recent_ids.setdefault(nrecent, len(recents))
-                if nid == len(recents):
-                    recents.append(nrecent)
-                hits = sum(1 << (n - 1) for n, bucket in index.items() if ext[-n:] in bucket)
-                per_symbol.append((nid << shift, hits))
-            moves.append(per_symbol)
         marks = code & low
-        for base, hits in moves[rid]:
+        for base, hits in moves[code >> shift]:
             state = base | ((marks << 1) & low) | (1 if marks & hits else 0)
             if state not in seen:
                 if len(codes) >= state_cap:

@@ -348,12 +348,18 @@ def suite_tmn(m: int = 3, n: int = 5, alphabet: str = "01") -> SuiteReport:
     fillers = ["".join(p) for p in itertools.product(alphabet, repeat=m)]
     if len(fillers) > 32:
         fillers = random.Random(DEFAULT_SEED).sample(fillers, 32)
-    total = bad = 0
-    for reps in range(1, m):
-        for combo in itertools.product(fillers, repeat=reps - 1):
-            total += 1
-            bad += member_star(s, fam.seed_word + "".join(f + fam.seed_word for f in combo))
-    report.add("seed pumping, %d words" % total, "all outside the closure", "%d inside" % bad, bad == 0)
+    total = sum(len(fillers) ** (reps - 1) for reps in range(1, m))
+    instance = "seed pumping, %d words" % total
+    try:
+        _check_budget(total, "seed pumping would check %d words")
+    except BudgetExceeded as exc:
+        report.limit(instance, "all outside the closure", exc)
+    else:
+        bad = 0
+        for reps in range(1, m):
+            for combo in itertools.product(fillers, repeat=reps - 1):
+                bad += member_star(s, fam.seed_word + "".join(f + fam.seed_word for f in combo))
+        report.add(instance, "all outside the closure", "%d inside" % bad, bad == 0)
 
     # dropping any short word must break co-finiteness
     if len(alphabet) ** m <= 16:

@@ -4,7 +4,11 @@ oracle queries, and the exit-code contract."""
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -465,6 +469,37 @@ def test_measure_reports_are_byte_stable(capsys, monkeypatch, item):
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     code, out, _ = run(capsys, "measure", "-", "--no-timing")
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (EXIT_OK, digest)
+
+
+def test_the_modules_run_as_programs(tmp_path):
+    # every other test calls ``main`` in process; here the exit code is the
+    # process's own, through ``__main__`` and through ``cli`` run as a module
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    child = dict(env=dict(os.environ, PYTHONPATH=src), cwd=tmp_path)
+
+    def command(module, *argv):
+        return [sys.executable, "-m", module, *argv]
+
+    gen = subprocess.Popen(command("frobword", "gen", "st", "--t", "2"), stdout=subprocess.PIPE, **child)
+    measure = subprocess.run(
+        command("frobword", "measure", "-", "--no-timing"),
+        stdin=gen.stdout,
+        capture_output=True,
+        text=True,
+        **child,
+    )
+    gen.stdout.close()
+    assert (gen.wait(), measure.returncode, measure.stderr) == (EXIT_OK, EXIT_OK, "")
+    assert measure.stdout == (
+        '{"input":"-","alphabet":"01","k":3,"n":3,"m_total":7,"cofinite_star":false,"L":null,'
+        '"L_reason":"the complement is infinite","L_witness":null,"S":8,"S_prime":12,"K":null,'
+        '"K_reason":"the chain complement is infinite","M":null,"M_reason":"the complement is infinite",'
+        '"nfa_bound":5,"window_dfa_states":20,"wall_time_ms":null,"wall_time_ms_reason":"timing disabled"}\n'
+    )
+    for module in ("frobword", "frobword.cli"):
+        usage = subprocess.run(command(module, "measure"), capture_output=True, text=True, **child)
+        assert (usage.returncode, usage.stdout) == (EXIT_BAD_INPUT, "")
+        assert usage.stderr.endswith("error: the following arguments are required: file\n")
 
 
 # ---------------------------------------------------------------------------

@@ -164,7 +164,7 @@ def test_pending_merge_matches_trie_subsets_and_window(s):
     assert window_states == window.state_count
     assert window_states == len(window_star_table(s.alphabet, s.words)[0])
     assert minimize(quotient) == minimize(window)
-    for cap in (window_states, window_states - 1):
+    for cap in {0, 1, window_states - 1, window_states}:
         outcomes = {_built_or_cap_message(b, s, cap) for b in (window_star_dfa, pending_star_dfa)}
         # a one-state window acceptor never grows, so no cap stops it
         grows = cap < window_states and window_states > 1
@@ -208,6 +208,36 @@ def test_window_count_memory_follows_the_state_count():
         tracemalloc.stop()
     assert (window_states, quotient.state_count) == (1599, 800)
     assert peak < 2 * 2**20
+
+
+def test_window_search_memory_on_a_long_word():
+    # the 3,200 windows are numbers, not strings of up to 3,199 letters; what
+    # is left is the codes and moves, integers of about 3,200 bits
+    s = WordSet.of("0", ["0" * 3200])
+    tracemalloc.start()
+    try:
+        codes, moves = starlang._window_search(s, DEFAULT_STATE_CAP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(codes), len(moves)) == (6399, 3200)
+    assert peak < 7 * 2**20
+
+
+def test_window_count_is_capped_before_the_search():
+    # every string shorter than the word is a window, so one binary word of 21
+    # letters has 2**21 - 1 windows, refused from the parameters alone
+    s = WordSet.of("01", ["0" * 10 + "1" * 11])
+    for build in (starlang._window_search, window_star_dfa, pending_star_dfa):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceeded) as exc:
+                build(s, 20_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == "window construction exceeded 20000 states"
+        assert peak < 2**20
 
 
 @given(small_sets)

@@ -102,6 +102,29 @@ def test_suite_tmn_small():
     assert suite_tmn(2, 3, "0123").passed
 
 
+def test_suite_tmn_budgets_the_seed_pumping():
+    # 32 of the 64 short words sampled as fillers, up to four between seed
+    # copies: 1 + 32 + 32**2 + 32**3 + 32**4 = 1,082,401 words, past 2**20
+    r = suite_tmn(6, 7)
+    assert r.cap_events == 1
+    assert [(row.instance, row.predicted, row.actual) for row in r.failures()] == [
+        (
+            "seed pumping, 1082401 words",
+            "all outside the closure",
+            "budget exceeded: seed pumping would check 1082401 words",
+        )
+    ]
+
+
+def test_suite_tmn_reports_a_short_word_that_is_not_needed(monkeypatch):
+    monkeypatch.setattr(verify, "is_cofinite", lambda d: True)
+    r = suite_tmn(3, 5)
+    assert r.cap_events == 0
+    assert [(row.instance, row.predicted, row.actual, row.ok) for row in r.failures()] == [
+        ("dropping a short word, 8 cases", "never co-finite", "8 still co-finite", False)
+    ]
+
+
 def test_suite_chain_cofinite_small():
     r = suite_chain_cofinite(count=25, seed=3)
     assert r.passed

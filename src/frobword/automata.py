@@ -319,7 +319,7 @@ def _hopcroft(cols: tuple[tuple[int, ...], ...], cls: list) -> tuple[list[int], 
     while work:
         wi = work.popleft()
         in_work[wi] = False
-        splitter = parts[wi]
+        splitter = tuple(parts[wi])  # splits below shrink blocks in place, this one too
         for pa in pre:
             touched: dict[int, set[int]] = defaultdict(set)
             # a state has one successor per symbol, so no state repeats
@@ -329,14 +329,13 @@ def _hopcroft(cols: tuple[tuple[int, ...], ...], cls: list) -> tuple[list[int], 
                 block = parts[pi]
                 if len(inter) == len(block):
                     continue
-                rest = block - inter
-                parts[pi] = inter
+                block -= inter  # relabel only ``inter``, which the scan has paid for
                 ni = len(parts)
-                parts.append(rest)
-                for s in rest:
+                parts.append(inter)
+                for s in inter:
                     part_of[s] = ni
                 # a block already queued queues its new half; else the smaller half
-                add = pi if not in_work[pi] and len(inter) <= len(rest) else ni
+                add = ni if in_work[pi] or len(inter) <= len(block) else pi
                 in_work.append(False)
                 in_work[add] = True
                 work.append(add)

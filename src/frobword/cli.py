@@ -16,7 +16,8 @@ limit was hit (``CapExceeded``, ``BudgetExceeded``, ``MemoryError``,
 ``RecursionError``), 3 bad input (usage errors, ``OSError``,
 ``ValueError``); the commands raise and ``main`` maps.  ``measure
 --state-cap`` sets the state cap, ``DEFAULT_STATE_CAP`` unless given; it
-bounds the window search first, then each subset construction.
+bounds the window search and each subset construction, and a window
+search over it is the hit reported.
 """
 
 from __future__ import annotations

@@ -12,6 +12,8 @@ the answers came from.
 
 from __future__ import annotations
 
+import os
+import threading
 import warnings
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -259,6 +261,19 @@ def pending_star_dfa(s: WordSet, state_cap: int = DEFAULT_STATE_CAP) -> tuple[Df
     return determinize(trie_star_nfa(s), state_cap), count
 
 
+def _window_numbering(sigma: int, shift: int, state_cap: int) -> tuple[list[int], list[int]]:
+    """``first[k]`` and ``power[k]``, the numbers of strings shorter than
+    ``k`` and of length ``k`` for ``k <= shift``; ``CapExceeded`` when the
+    windows, the strings shorter than ``shift``, are more than the cap."""
+    first, power = [0], [1]
+    while len(first) <= shift and first[-1] <= max(state_cap, 1):
+        first.append(first[-1] + power[-1])
+        power.append(power[-1] * sigma)
+    if first[-1] > max(state_cap, 1):  # the start state is never refused
+        raise CapExceeded("window construction exceeded %d states" % state_cap)
+    return first, power
+
+
 def _window_search(s: WordSet, state_cap: int) -> tuple[list[int], list[list[tuple[int, int]]]]:
     """Breadth-first search of the window states, coded ``window << shift |
     marks`` with mark ``a`` as bit ``a``; the windows, all strings shorter
@@ -268,12 +283,7 @@ def _window_search(s: WordSet, state_cap: int) -> tuple[list[int], list[list[tup
     ends at ``c``.  A window of ``r < shift`` symbols marks only bits ``0..r``,
     so ``low`` clears only the shifted mark a full window pushes out of reach."""
     sigma, shift = len(s.alphabet), s.max_word_length
-    first, power = [0], [1]  # strings shorter than k, and of length k, while under the cap
-    while len(first) <= shift and first[-1] <= max(state_cap, 1):
-        first.append(first[-1] + power[-1])
-        power.append(power[-1] * sigma)
-    if first[-1] > max(state_cap, 1):  # the start state is never refused
-        raise CapExceeded("window construction exceeded %d states" % state_cap)
+    first, power = _window_numbering(sigma, shift, state_cap)
     ends = {k: {_rank(s.alphabet, w) for w in bucket} for k, bucket in _length_index(s.words).items()}
     full = first[shift - 1]  # a full window drops its oldest symbol
     moves: list[list[tuple[int, int]]] = [[] for _ in range(first[shift])]
@@ -376,6 +386,72 @@ class MeasureReport:
     chain_dfa: Dfa | None = field(default=None, compare=False, repr=False)
 
 
+def _fork_window_count(s: WordSet, state_cap: int) -> tuple[int, int] | None:
+    """Count the window states in a forked child, which writes the decimal
+    count, or ``!`` and the cap message, to a pipe: the child's pid and the
+    pipe's read end.  ``None`` when there is no ``os.fork``, other threads
+    are alive, or the pipe or the fork fails."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return None
+    try:
+        r, w = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:  # the child answers, then exits without unwinding or flushing
+        try:
+            try:
+                reply = str(len(_window_search(s, state_cap)[0]))
+            except CapExceeded as exc:
+                reply = "!%s" % exc
+            os.write(w, reply.encode())
+        finally:
+            os._exit(0)
+    os.close(w)
+    return pid, r
+
+
+def _star_side(s: WordSet, state_cap: int) -> tuple[Dfa, int]:
+    """``minimal_star_dfa(s, state_cap)`` and the window state count, with
+    the answers and errors of counting first.  The number of windows is
+    checked before anything starts; the count then runs in a forked child
+    beside the build where it can.  The child's cap message wins over the
+    build's error: the build is a quotient of the window acceptor, so it
+    trips the cap only when the count does.  A child that ends without an
+    answer is recounted here, unless the build failed."""
+    _window_numbering(len(s.alphabet), s.max_word_length, state_cap)
+    child = _fork_window_count(s, state_cap)
+    if child is None:
+        count = len(_window_search(s, state_cap)[0])
+        return minimal_star_dfa(s, state_cap), count
+    pid, r = child
+    reply = None
+    try:
+        try:
+            star_min = minimal_star_dfa(s, state_cap)
+        except (CapExceeded, MemoryError):
+            reply = os.read(r, 4096).decode()
+            if reply.startswith("!"):
+                raise CapExceeded(reply[1:]) from None
+            raise
+        reply = os.read(r, 4096).decode()  # one write under PIPE_BUF arrives whole
+    finally:
+        os.close(r)
+        if reply is None:  # interrupted: the count is not wanted
+            import signal  # not loaded at start-up, and needed only here
+
+            os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    if reply.startswith("!"):
+        raise CapExceeded(reply[1:])
+    return star_min, int(reply) if reply else len(_window_search(s, state_cap)[0])
+
+
 def measure_all(
     s: WordSet,
     xs_order: Sequence[str] | None = None,
@@ -386,9 +462,11 @@ def measure_all(
 ) -> MeasureReport:
     """Compute all measures for one word set.
 
-    The window states are counted (and capped) first and reported as
-    ``window_dfa_states``; no window acceptor is built.  Each side is then
-    built as ``minimal_star_dfa`` and ``minimal_chain_dfa`` build it, and
+    The window states are counted, beside the star side's construction
+    (``_star_side``), and reported as ``window_dfa_states``; no window
+    acceptor is built, and a window count over the cap is the error raised,
+    as if it had run first.  Each side is built as ``minimal_star_dfa`` and
+    ``minimal_chain_dfa`` build it, and
     every omission measure is read off its minimal DFA with ``_omissions``:
     a side is the full language when it omits no word, and the chain's
     co-finiteness is its automaton's verdict (``chain_cofinite`` is the
@@ -405,8 +483,7 @@ def measure_all(
 
     star_min = window_states = chain_min = None
     if star:
-        window_states = len(_window_search(s, state_cap)[0])
-        star_min = minimal_star_dfa(s, state_cap)
+        star_min, window_states = _star_side(s, state_cap)
     if chain:
         chain_min = minimal_chain_dfa(xs_order, s.alphabet, state_cap)
     sides = [(None, None, None) if d is None else _omissions(d) for d in (star_min, chain_min)]

@@ -2,6 +2,7 @@
 machines, cross-checked against brute enumeration and a naive refinement
 oracle."""
 
+import random
 import re
 from math import gcd
 
@@ -315,6 +316,50 @@ def test_minimize_last_split_in_the_final_budgeted_round_needs_no_hopcroft(monke
     assert finishes == []
     assert m.state_count == state_complexity(d) == 10
     assert m.transitions == d.transitions and m.minimal
+
+
+def moore_fixed_point(cols, cls):
+    """The blocks of the coarsest refinement of ``cls`` that every column
+    respects, by signature rounds until none splits."""
+    while True:
+        sig = [(cls[s], *(cls[col[s]] for col in cols)) for s in range(len(cls))]
+        if len(set(sig)) == len(set(cls)):
+            return blocks(cls)
+        cls = sig
+
+
+def blocks(cls):
+    members = {}
+    for s, c in enumerate(cls):
+        members.setdefault(c, set()).add(s)
+    return sorted(map(sorted, members.values()))
+
+
+def test_hopcroft_matches_moore_run_to_its_fixed_point():
+    # splits shrink blocks in place, the splitter's own block included, so a
+    # splitter read without a snapshot leaves some of these tables coarser
+    rnd = random.Random(7)
+    for _ in range(3000):
+        n, sigma = rnd.randint(1, 40), rnd.randint(1, 3)
+        cols = tuple(tuple(rnd.randrange(n) for _ in range(n)) for _ in range(sigma))
+        labels = rnd.randint(1, 3)
+        cls = [rnd.randrange(labels) for _ in range(n)]
+        got, count = automata._hopcroft(cols, cls)
+        want = moore_fixed_point(cols, cls)
+        # each state is labelled with the least state of its block
+        assert count == len(want) and all(got[s] == b[0] for b in want for s in b)
+
+
+@pytest.mark.parametrize("period", [1, 2, 1600, 6400])
+def test_minimize_long_unary_cycle(period):
+    # one final state in every ``period``: the classes are the distances to
+    # the next final state, which Moore's round budget cannot tell apart, so
+    # Hopcroft peels them off one split at a time
+    n = 6400
+    d = Dfa("0", tuple(((s + 1) % n,) for s in range(n)), 0, frozenset(range(0, n, period)))
+    m = minimize(d)
+    assert m.state_count == period
+    assert m.transitions == tuple(((s + 1) % period,) for s in range(period))
 
 
 @st.composite

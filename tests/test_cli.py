@@ -203,6 +203,30 @@ def test_measure_state_cap_flag(tmp_path, capsys):
     assert json.loads(out)["S"] == 56
 
 
+@pytest.mark.parametrize("cap", ["20000", "5000"])
+def test_measure_reports_the_window_cap_whichever_stage_trips(capsys, monkeypatch, cap):
+    # st-10 has 2,047 windows, 9,472 subset states and 44,799 window states:
+    # at 20,000 only the window search trips, at 5,000 the subset
+    # construction trips as well, and the window search's line is the one
+    code, text, _ = run(capsys, "gen", "st", "--t", "10")
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, "measure", "-", "--no-timing", "--state-cap", cap)
+    assert (code, out) == (EXIT_CAP, "")
+    assert err == "error: state cap exceeded: window construction exceeded %s states\n" % cap
+
+
+def test_measure_counts_in_process_when_fork_fails(tmp_path, capsys, monkeypatch):
+    f = write_ws(tmp_path, "p.ws", "alphabet: 01\n0\n01\n11\n")
+    forked = run(capsys, "measure", f, "--no-timing")
+
+    def refuse():
+        raise OSError("no fork today")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    assert run(capsys, "measure", f, "--no-timing") == forked
+    assert forked[0] == EXIT_OK
+
+
 @pytest.mark.parametrize("cap", ["0", "-5"])
 def test_measure_nonpositive_state_cap_is_bad_input(tmp_path, capsys, cap):
     f = write_ws(tmp_path, "u.ws", "alphabet: 0\n00\n000\n")
@@ -458,6 +482,12 @@ PINNED_MEASURES = {
         "2085f6932a1bd8f2bcd9d9680c729fefe9d2db6a8dc2416bd37d3d3f5075a5e3",
     ),
     "chain-3": (["chain", "--t", "3"], "311d4f2382600384f4fb597f4feb6b0b5475673a456d8bc435284b07aa01b77f"),
+    # two benchmark items, with the digests of perfbench/expected.json
+    "st-10": (["st", "--t", "10"], "cff244dd9cdd898aba9971ec5b0ceb9c44a0fe97381e97caef2b164be226d5b0"),
+    "tmn-5-6": (
+        ["tmn", "--m", "5", "--n", "6"],
+        "eff48667d4d2a19c6952bab8c6988cef7e0df2c89ac26fc8e188e0d3d972ed29",
+    ),
 }
 
 
@@ -500,6 +530,24 @@ def test_the_modules_run_as_programs(tmp_path):
         usage = subprocess.run(command(module, "measure"), capture_output=True, text=True, **child)
         assert (usage.returncode, usage.stdout) == (EXIT_BAD_INPUT, "")
         assert usage.stderr.endswith("error: the following arguments are required: file\n")
+
+
+def test_measure_runs_clean_under_dev_mode(capsys, tmp_path):
+    # dev mode with warnings as errors: an unclosed pipe end (ResourceWarning)
+    # or a fork beside a thread (DeprecationWarning) would fail the run
+    code, text, _ = run(capsys, "gen", "st", "--t", "8")
+    assert code == EXIT_OK
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    measure = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "frobword", "measure", "-", "--no-timing"],
+        input=text,
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        cwd=tmp_path,
+    )
+    assert (measure.returncode, measure.stderr) == (EXIT_OK, "")
+    assert json.loads(measure.stdout)["window_dfa_states"] == 7775
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
 """Star closures of word sets: membership oracles, the two DFA routes, the
 chain of stars, and the combined measure report."""
 
+import os
+import threading
 import tracemalloc
 import warnings
+from contextlib import contextmanager
+from dataclasses import fields
 from itertools import accumulate, product
 
 import pytest
@@ -20,7 +24,13 @@ from frobword.automata import (
     is_cofinite,
     minimize,
 )
-from frobword.families import base_repr, star_blowup_sc, star_blowup_sc_floor, two_length_family
+from frobword.families import (
+    base_repr,
+    star_blowup_family,
+    star_blowup_sc,
+    star_blowup_sc_floor,
+    two_length_family,
+)
 from frobword.numeric import representable
 from frobword.starlang import (
     BudgetExceeded,
@@ -374,6 +384,165 @@ def test_measured_chain_verdict_equals_the_criterion(case):
     alphabet, xs = case
     r = measure_all(WordSet.of(alphabet, xs), xs, star=False)
     assert r.chain_is_cofinite == chain_cofinite(xs, alphabet)
+
+
+@contextmanager
+def leaves_nothing_behind():
+    """No child process and no new file descriptor once the body is done."""
+    fd_dir = "/proc/self/fd"
+    before = len(os.listdir(fd_dir)) if os.path.isdir(fd_dir) else None
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    if before is not None:
+        assert len(os.listdir(fd_dir)) == before
+
+
+FORK_SETS = [
+    WordSet.of("01", ["0", "01", "11"]),
+    WordSet.of("0", ["00", "000"]),
+    WordSet.of("01", ["0", "1"]),
+    two_length_family(3, 5).words,
+    star_blowup_family(6).words,
+]
+
+
+def every_field(r):
+    # the DFAs take no part in report equality, so compare field by field
+    return [getattr(r, f.name) for f in fields(r)]
+
+
+def test_measure_all_counts_the_windows_in_a_child(monkeypatch):
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    for s in FORK_SETS:
+        with leaves_nothing_behind():
+            r = measure_all(s)
+            assert measure_all(s, star=False).window_dfa_states is None
+        assert r.window_dfa_states == window_star_dfa(s).state_count
+    assert len(forks) == len(FORK_SETS)
+
+
+def _fork_fails(mp):
+    def refuse():
+        raise OSError("no fork today")
+
+    mp.setattr(os, "fork", refuse)
+
+
+def _pipe_fails(mp):
+    def refuse():
+        raise OSError("no pipe today")
+
+    mp.setattr(os, "pipe", refuse)
+
+
+def _no_fork(mp):
+    mp.delattr(os, "fork")
+
+
+def _child_dies(mp):
+    # the child ends without a word; the count runs again in this process
+    me, search = os.getpid(), starlang._window_search
+
+    def search_or_die(*args):
+        if os.getpid() != me:
+            os._exit(1)
+        return search(*args)
+
+    mp.setattr(starlang, "_window_search", search_or_die)
+
+
+@pytest.mark.parametrize("fallback", [_fork_fails, _pipe_fails, _no_fork, _child_dies])
+def test_measure_all_counts_here_when_a_child_cannot(monkeypatch, fallback):
+    serial = [every_field(measure_all(s)) for s in FORK_SETS]
+    fallback(monkeypatch)
+    with leaves_nothing_behind():
+        assert [every_field(measure_all(s)) for s in FORK_SETS] == serial
+
+
+def test_measure_all_does_not_fork_beside_another_thread(monkeypatch):
+    serial = [every_field(measure_all(s)) for s in FORK_SETS]
+
+    def unexpected():
+        raise AssertionError("forked with a second thread alive")
+
+    monkeypatch.setattr(os, "fork", unexpected)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        with leaves_nothing_behind():
+            assert [every_field(measure_all(s)) for s in FORK_SETS] == serial
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+
+
+@pytest.mark.parametrize("cap", [1000, 300])
+def test_the_window_cap_wins_over_the_subset_cap(cap):
+    # st-6 has 1,247 window states and 368 subset states: at 1,000 only the
+    # window count trips, at 300 the subset construction trips as well
+    s = star_blowup_family(6).words
+    with leaves_nothing_behind(), pytest.raises(CapExceeded) as exc:
+        measure_all(s, state_cap=cap)
+    assert str(exc.value) == "window construction exceeded %d states" % cap
+
+
+def test_a_refused_window_count_starts_no_child_and_no_build(monkeypatch):
+    def unexpected(*args):
+        raise AssertionError("started")
+
+    monkeypatch.setattr(os, "fork", unexpected)
+    monkeypatch.setattr(starlang, "minimal_star_dfa", unexpected)
+    s = WordSet.of("01", ["0" * 10 + "1" * 11])
+    with leaves_nothing_behind(), pytest.raises(CapExceeded) as exc:
+        measure_all(s, state_cap=20_000)
+    assert str(exc.value) == "window construction exceeded 20000 states"
+
+
+@pytest.mark.parametrize("cap", [DEFAULT_STATE_CAP, 1000])
+def test_a_failed_star_build_still_reaps_the_child(monkeypatch, cap):
+    # out of memory in the build: the window cap message wins when the count
+    # trips it, as it would had the count run first
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(starlang, "minimal_star_dfa", out_of_memory)
+    s = star_blowup_family(6).words
+    want = MemoryError if cap == DEFAULT_STATE_CAP else CapExceeded
+    with leaves_nothing_behind(), pytest.raises(want):
+        measure_all(s, state_cap=cap)
+
+
+def test_a_failed_star_build_does_not_recount_for_a_silent_child(monkeypatch):
+    def out_of_memory(*args):
+        raise MemoryError
+
+    _child_dies(monkeypatch)
+    searches, search = [], starlang._window_search
+    monkeypatch.setattr(starlang, "_window_search", lambda *args: searches.append(1) or search(*args))
+    monkeypatch.setattr(starlang, "minimal_star_dfa", out_of_memory)
+    with leaves_nothing_behind(), pytest.raises(MemoryError):
+        measure_all(star_blowup_family(6).words)
+    assert searches == []
+
+
+def test_an_interrupted_star_build_kills_and_reaps_the_child(monkeypatch):
+    # st-10's count takes a while, so the child is still counting when killed
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(starlang, "minimal_star_dfa", interrupted)
+    with leaves_nothing_behind(), pytest.raises(KeyboardInterrupt):
+        measure_all(star_blowup_family(10).words)
 
 
 def test_measure_all_order_validation():

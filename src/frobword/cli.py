@@ -277,10 +277,7 @@ def cmd_oracle(args) -> int:
                 % (word, ",".join(stray), alphabet)
             )
     for word in args.words:
-        if args.chain:
-            inside = member_chain(file_words, word)
-        else:
-            inside = member_star(s, word)
+        inside = member_chain(file_words, word) if args.chain else member_star(s, word)
         print("%s\t%s" % (word, "true" if inside else "false"))
     return EXIT_OK
 

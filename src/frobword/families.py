@@ -37,12 +37,7 @@ def base_repr(value: int, base: int, width: int, symbols: str | None = None) -> 
         raise ValueError("need at least %d digit symbols" % base)
     if not 0 <= value < base**width:
         raise OverflowError("%d does not fit in %d base-%d digits" % (value, width, base))
-    digits = []
-    v = value
-    for _ in range(width):
-        v, r = divmod(v, base)
-        digits.append(symbols[r])
-    return "".join(reversed(digits))
+    return "".join(symbols[value // base**j % base] for j in reversed(range(width)))
 
 
 @dataclass(frozen=True)
@@ -183,9 +178,7 @@ def longest_omitted_witness(fam: TwoLengthFamily) -> str:
     """The structured word of exactly the predicted longest omitted length:
     the seed, separated by blocks of ``short_len`` first letters, repeated
     ``short_len - 1`` times."""
-    gap = fam.alphabet[0] * fam.short_len
-    parts = [fam.seed_word] * (fam.short_len - 1)
-    return (gap).join(parts)
+    return (fam.alphabet[0] * fam.short_len).join([fam.seed_word] * (fam.short_len - 1))
 
 
 def omitted_count_lower_bound(fam: TwoLengthFamily) -> int:

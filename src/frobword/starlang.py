@@ -70,13 +70,9 @@ class WordSet:
 
     @classmethod
     def of(cls, alphabet: str, words: Iterable[str]) -> "WordSet":
-        kept = []
-        dropped = 0
-        for w in words:
-            if w == "":
-                dropped += 1
-            else:
-                kept.append(w)
+        words = list(words)
+        kept = [w for w in words if w]
+        dropped = len(words) - len(kept)
         if dropped:
             warnings.warn("ignoring %d empty word(s): they never change the closure" % dropped)
         ordered = tuple(sorted(set(kept), key=lambda w: (len(w), w)))
@@ -386,11 +382,11 @@ class MeasureReport:
     chain_dfa: Dfa | None = field(default=None, compare=False, repr=False)
 
 
-def _fork_window_count(s: WordSet, state_cap: int) -> tuple[int, int] | None:
-    """Count the window states in a forked child, which writes the decimal
-    count, or ``!`` and the cap message, to a pipe: the child's pid and the
-    pipe's read end.  ``None`` when there is no ``os.fork``, other threads
-    are alive, or the pipe or the fork fails."""
+def _fork(fn) -> tuple[int, int] | None:
+    """Start ``fn()``, a ``str``, in a forked child that writes it, or ``!``
+    and the message of a ``CapExceeded`` or ``BudgetExceeded``, to a pipe: the
+    child's pid and the pipe's read end, for ``_join``.  ``None`` without
+    ``os.fork``, beside another thread, or when the pipe or the fork fails."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return None
     try:
@@ -406,50 +402,66 @@ def _fork_window_count(s: WordSet, state_cap: int) -> tuple[int, int] | None:
     if pid == 0:  # the child answers, then exits without unwinding or flushing
         try:
             try:
-                reply = str(len(_window_search(s, state_cap)[0]))
-            except CapExceeded as exc:
+                reply = fn()
+            except (CapExceeded, BudgetExceeded) as exc:
                 reply = "!%s" % exc
-            os.write(w, reply.encode())
+            data = reply.encode()
+            while data:
+                data = data[os.write(w, data) :]
         finally:
             os._exit(0)
     os.close(w)
     return pid, r
 
 
-def _star_side(s: WordSet, state_cap: int) -> tuple[Dfa, int]:
-    """``minimal_star_dfa(s, state_cap)`` and the window state count, with
-    the answers and errors of counting first.  The number of windows is
-    checked before anything starts; the count then runs in a forked child
-    beside the build where it can.  The child's cap message wins over the
-    build's error: the build is a quotient of the window acceptor, so it
-    trips the cap only when the count does.  A child that ends without an
-    answer is recounted here, unless the build failed."""
-    _window_numbering(len(s.alphabet), s.max_word_length, state_cap)
-    child = _fork_window_count(s, state_cap)
+def _join(child: tuple[int, int] | None, wanted: bool = True) -> str | None:
+    """The reply of a ``_fork`` child, read to the pipe's end, which is closed,
+    and the child reaped; killed first if the answer is not ``wanted`` or the
+    read is interrupted.  ``None`` for no child or one that gave no answer."""
     if child is None:
-        count = len(_window_search(s, state_cap)[0])
-        return minimal_star_dfa(s, state_cap), count
+        return None
     pid, r = child
     reply = None
     try:
-        try:
-            star_min = minimal_star_dfa(s, state_cap)
-        except (CapExceeded, MemoryError):
-            reply = os.read(r, 4096).decode()
-            if reply.startswith("!"):
-                raise CapExceeded(reply[1:]) from None
-            raise
-        reply = os.read(r, 4096).decode()  # one write under PIPE_BUF arrives whole
+        if wanted:
+            reply = b"".join(iter(lambda: os.read(r, 65536), b"")).decode()
     finally:
         os.close(r)
-        if reply is None:  # interrupted: the count is not wanted
+        if reply is None:  # not wanted, or interrupted
             import signal  # not loaded at start-up, and needed only here
 
             os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
-    if reply.startswith("!"):
+    return reply or None
+
+
+_FORK_WINDOWS = 500  # below this many windows, a fork costs more than the count
+
+
+def _star_side(s: WordSet, state_cap: int) -> tuple[Dfa, int]:
+    """``minimal_star_dfa(s, state_cap)`` and the window state count, with the
+    answers and errors of counting first.  The number of windows is checked
+    before anything starts; the count runs before the build, or from
+    ``_FORK_WINDOWS`` windows up in a ``_fork`` child beside it.  The child's
+    cap message wins over the build's ``CapExceeded`` or ``MemoryError`` (the
+    build trips the cap only when the count does); a silent child is
+    recounted here unless the build failed; an interrupt kills the child."""
+    first, _ = _window_numbering(len(s.alphabet), s.max_word_length, state_cap)
+    child = None
+    if first[-1] >= _FORK_WINDOWS:
+        child = _fork(lambda: str(len(_window_search(s, state_cap)[0])))
+    count = None if child else len(_window_search(s, state_cap)[0])
+    try:
+        star_min = minimal_star_dfa(s, state_cap)
+    except BaseException as exc:
+        reply = _join(child, isinstance(exc, (CapExceeded, MemoryError)))
+        if reply and reply[0] == "!":
+            raise CapExceeded(reply[1:]) from None
+        raise
+    reply = _join(child)
+    if reply and reply[0] == "!":
         raise CapExceeded(reply[1:])
-    return star_min, int(reply) if reply else len(_window_search(s, state_cap)[0])
+    return star_min, count or int(reply or len(_window_search(s, state_cap)[0]))
 
 
 def measure_all(

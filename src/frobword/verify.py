@@ -42,6 +42,8 @@ from frobword.starlang import (
     PreconditionViolated,
     WordSet,
     _check_budget,
+    _fork,
+    _join,
     _levels,
     chain_cofinite,
     chain_nfa,
@@ -188,16 +190,15 @@ def _binary(n: int) -> list[str]:
     return ["".join(p) for p in itertools.product("01", repeat=n)]
 
 
-def _pair_law(report: SuiteReport, kind: str, label: str, pairs, predict, size) -> None:
+def _pair_law(report: SuiteReport, kind: str, label: str, pairs, predict, sizes) -> None:
     """One two-word size law: ``predict(w, x)`` is exact on commuting pairs
-    and an upper bound, attained by some pair, on the rest; ``size(w, x)``
-    builds the automaton.  Adds a row per violation (named ``kind`` and
-    ``label % (w, x)``), then the three summary rows."""
+    and an upper bound, attained by some pair, on the rest; ``sizes`` are
+    the pairs' automaton sizes, in order.  Adds a row per violation (named
+    ``kind`` and ``label % (w, x)``), then the three summary rows."""
     checked = viol = tight = exact_checked = exact_bad = 0
     first_tight = ""
-    for w, x in pairs:
+    for (w, x), actual in zip(pairs, sizes):
         pred, claim = predict(w, x)
-        actual = size(w, x)
         name = label % (w, x)
         if claim == EXACT:
             exact_checked += 1
@@ -234,7 +235,9 @@ def suite_pairs(max_len: int = 6, agreement_total: int = 14) -> SuiteReport:
     ``max_len`` below 2 (no pair up to length 1 attains the star bound) or
     ``agreement_total`` below 2 (no pair at all) raise ``PreconditionViolated``;
     more than ``DEFAULT_ENUM_BUDGET`` pair automata or agreement checks
-    raise ``BudgetExceeded`` before any word is built.
+    raise ``BudgetExceeded`` before any word is built.  A ``_fork`` child, where
+    it can, sizes every second automaton of the star pairs then the concat
+    pairs; this process sizes the rest, and the child's if it gives none.
     """
     if max_len < 2:
         raise PreconditionViolated("max_len must be at least 2, got %d" % max_len)
@@ -247,16 +250,25 @@ def suite_pairs(max_len: int = 6, agreement_total: int = 14) -> SuiteReport:
     report = SuiteReport("pairs")
     words = [w for n in range(1, max_len + 1) for w in _binary(n)]
 
-    def star_size(w: str, x: str) -> int:
-        return state_complexity(determinize(trie_star_nfa(WordSet.of("01", {w, x}))))
+    def size(task: tuple[str, str, bool]) -> int:
+        w, x, star = task
+        nfa = trie_star_nfa(WordSet.of("01", {w, x})) if star else chain_nfa([w, x], "01")
+        return state_complexity(determinize(nfa))
 
-    def concat_size(w: str, x: str) -> int:
-        return state_complexity(determinize(chain_nfa([w, x], "01")))
-
-    unordered = ((w, x) for i, w in enumerate(words) for x in words[i:])
-    _pair_law(report, "star", "{%s,%s}", unordered, predicted_pair_star_sc, star_size)
-    ordered = itertools.product(words, repeat=2)
-    _pair_law(report, "concat", "%s* %s*", ordered, predicted_pair_concat_sc, concat_size)
+    stars = [(w, x) for i, w in enumerate(words) for x in words[i:]]
+    concats = list(itertools.product(words, repeat=2))
+    tasks = [(w, x, True) for w, x in stars] + [(w, x, False) for w, x in concats]
+    child = _fork(lambda: " ".join(str(size(t)) for t in tasks[1::2]))
+    sizes = [0] * len(tasks)
+    try:
+        sizes[0::2] = map(size, tasks[0::2])
+    except BaseException:
+        _join(child, wanted=False)
+        raise
+    reply = _join(child)  # a cap or budget hit in the child is raised here
+    sizes[1::2] = map(int, reply.split()) if reply and reply[0] != "!" else map(size, tasks[1::2])
+    _pair_law(report, "star", "{%s,%s}", stars, predicted_pair_star_sc, sizes[: len(stars)])
+    _pair_law(report, "concat", "%s* %s*", concats, predicted_pair_concat_sc, sizes[len(stars) :])
 
     checked = viol = 0
     for total in range(2, agreement_total + 1):

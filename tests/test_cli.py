@@ -216,7 +216,8 @@ def test_measure_reports_the_window_cap_whichever_stage_trips(capsys, monkeypatc
 
 
 def test_measure_counts_in_process_when_fork_fails(tmp_path, capsys, monkeypatch):
-    f = write_ws(tmp_path, "p.ws", "alphabet: 01\n0\n01\n11\n")
+    # st-8 has 511 windows, enough for the count to fork
+    f = write_ws(tmp_path, "st8.ws", run(capsys, "gen", "st", "--t", "8")[1])
     forked = run(capsys, "measure", f, "--no-timing")
 
     def refuse():
@@ -548,6 +549,37 @@ def test_measure_runs_clean_under_dev_mode(capsys, tmp_path):
     )
     assert (measure.returncode, measure.stderr) == (EXIT_OK, "")
     assert json.loads(measure.stdout)["window_dfa_states"] == 7775
+
+
+def test_verify_pairs_runs_clean_under_dev_mode(tmp_path):
+    # the same check for the child that works out half of the pair automata
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    pairs = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "frobword", "verify", "pairs", "--max-len", "3"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        cwd=tmp_path,
+    )
+    assert (pairs.returncode, pairs.stderr) == (EXIT_OK, "# suite pairs: 7 checks, 0 failures, 0 cap events\n")
+
+
+def test_the_cli_loads_no_process_or_serialising_module(tmp_path):
+    # the start-up cost the benchmark's setup_s measures: the fork helpers
+    # need only os and threading, and load signal only to kill a child
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    unwanted = ("pickle", "multiprocessing", "concurrent", "subprocess", "signal")
+    probe = "import sys, frobword.cli; print(' '.join(sorted(m.split('.')[0] for m in sys.modules)))"
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        cwd=tmp_path,
+        check=True,
+    ).stdout.split()
+    assert "frobword" in loaded
+    assert [m for m in unwanted if m in loaded] == []
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ import os
 import threading
 import tracemalloc
 import warnings
-from contextlib import contextmanager
 from dataclasses import fields
 from itertools import accumulate, product
 
@@ -50,6 +49,7 @@ from frobword.starlang import (
     window_state_bound,
 )
 from oracles import chain_upto, closure_upto, subset_table, window_star_table, words_upto
+from processes import _fork_fails, _no_fork, _pipe_fails, leaves_nothing_behind
 
 small_sets = st.lists(
     st.text(alphabet="01", min_size=1, max_size=3), min_size=1, max_size=4
@@ -386,24 +386,13 @@ def test_measured_chain_verdict_equals_the_criterion(case):
     assert r.chain_is_cofinite == chain_cofinite(xs, alphabet)
 
 
-@contextmanager
-def leaves_nothing_behind():
-    """No child process and no new file descriptor once the body is done."""
-    fd_dir = "/proc/self/fd"
-    before = len(os.listdir(fd_dir)) if os.path.isdir(fd_dir) else None
-    yield
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    if before is not None:
-        assert len(os.listdir(fd_dir)) == before
-
-
 FORK_SETS = [
     WordSet.of("01", ["0", "01", "11"]),
     WordSet.of("0", ["00", "000"]),
     WordSet.of("01", ["0", "1"]),
     two_length_family(3, 5).words,
     star_blowup_family(6).words,
+    star_blowup_family(10).words,  # the one set at or above the fork cut
 ]
 
 
@@ -426,25 +415,10 @@ def test_measure_all_counts_the_windows_in_a_child(monkeypatch):
             r = measure_all(s)
             assert measure_all(s, star=False).window_dfa_states is None
         assert r.window_dfa_states == window_star_dfa(s).state_count
-    assert len(forks) == len(FORK_SETS)
-
-
-def _fork_fails(mp):
-    def refuse():
-        raise OSError("no fork today")
-
-    mp.setattr(os, "fork", refuse)
-
-
-def _pipe_fails(mp):
-    def refuse():
-        raise OSError("no pipe today")
-
-    mp.setattr(os, "pipe", refuse)
-
-
-def _no_fork(mp):
-    mp.delattr(os, "fork")
+    # one fork per set with at least the cut's number of windows, only st-10
+    numbering = starlang._window_numbering
+    windows = [numbering(len(s.alphabet), s.max_word_length, DEFAULT_STATE_CAP)[0][-1] for s in FORK_SETS]
+    assert len(forks) == sum(n >= starlang._FORK_WINDOWS for n in windows) == 1
 
 
 def _child_dies(mp):
@@ -486,11 +460,15 @@ def test_measure_all_does_not_fork_beside_another_thread(monkeypatch):
     assert not other.is_alive()
 
 
-@pytest.mark.parametrize("cap", [1000, 300])
-def test_the_window_cap_wins_over_the_subset_cap(cap):
-    # st-6 has 1,247 window states and 368 subset states: at 1,000 only the
-    # window count trips, at 300 the subset construction trips as well
-    s = star_blowup_family(6).words
+@pytest.mark.parametrize(
+    "t, cap", [(6, 1000), (6, 300), (10, 20_000), (10, 5000)], ids=["1000", "300", "st10-20000", "st10-5000"]
+)
+def test_the_window_cap_wins_over_the_subset_cap(t, cap):
+    # st-6 has 127 windows, counted in process, 1,247 window states and 368
+    # subset states; st-10 has 2,047 windows, counted in a child, 44,799
+    # window states and 9,472 subset states.  At the larger cap only the
+    # window count trips, at the smaller the subset construction as well
+    s = star_blowup_family(t).words
     with leaves_nothing_behind(), pytest.raises(CapExceeded) as exc:
         measure_all(s, state_cap=cap)
     assert str(exc.value) == "window construction exceeded %d states" % cap
@@ -508,15 +486,19 @@ def test_a_refused_window_count_starts_no_child_and_no_build(monkeypatch):
     assert str(exc.value) == "window construction exceeded 20000 states"
 
 
-@pytest.mark.parametrize("cap", [DEFAULT_STATE_CAP, 1000])
-def test_a_failed_star_build_still_reaps_the_child(monkeypatch, cap):
+@pytest.mark.parametrize(
+    "t, cap",
+    [(6, DEFAULT_STATE_CAP), (6, 1000), (10, DEFAULT_STATE_CAP), (10, 20_000)],
+    ids=[str(DEFAULT_STATE_CAP), "1000", "st10-%d" % DEFAULT_STATE_CAP, "st10-20000"],
+)
+def test_a_failed_star_build_still_reaps_the_child(monkeypatch, t, cap):
     # out of memory in the build: the window cap message wins when the count
     # trips it, as it would had the count run first
     def out_of_memory(*args):
         raise MemoryError
 
     monkeypatch.setattr(starlang, "minimal_star_dfa", out_of_memory)
-    s = star_blowup_family(6).words
+    s = star_blowup_family(t).words
     want = MemoryError if cap == DEFAULT_STATE_CAP else CapExceeded
     with leaves_nothing_behind(), pytest.raises(want):
         measure_all(s, state_cap=cap)
@@ -531,7 +513,7 @@ def test_a_failed_star_build_does_not_recount_for_a_silent_child(monkeypatch):
     monkeypatch.setattr(starlang, "_window_search", lambda *args: searches.append(1) or search(*args))
     monkeypatch.setattr(starlang, "minimal_star_dfa", out_of_memory)
     with leaves_nothing_behind(), pytest.raises(MemoryError):
-        measure_all(star_blowup_family(6).words)
+        measure_all(star_blowup_family(10).words)
     assert searches == []
 
 

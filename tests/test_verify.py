@@ -2,6 +2,9 @@
 live in the acceptance tests)."""
 
 import dataclasses
+import os
+import signal
+import threading
 from itertools import product
 
 import pytest
@@ -24,6 +27,7 @@ from frobword.verify import (
     suite_unary,
 )
 from oracles import chain_upto, closure_upto, words_upto
+from processes import _fork_fails, _no_fork, _pipe_fails, leaves_nothing_behind
 
 
 def test_random_word_sets_deterministic():
@@ -307,6 +311,100 @@ def test_suite_bounds_reports_a_row_for_every_law(monkeypatch):
 def test_out_of_range_parameters_raise(suite, kwargs):
     with pytest.raises(PreconditionViolated):
         suite(**kwargs)
+
+
+# ---------------------------------------------------------------------------
+# suite_pairs splits its pair automata with a forked child
+
+SPLIT_RUNS = [(4, 10), (5, 12)]
+
+
+def _rows(report):
+    return [(row.instance, row.predicted, row.actual, row.ok) for row in report.rows]
+
+
+@pytest.fixture(scope="module")
+def serial_pairs():
+    # every size worked out in this process: no child is started
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "_fork", lambda fn: None)
+        return {run: _rows(suite_pairs(*run)) for run in SPLIT_RUNS}
+
+
+def _child_dies(mp):
+    # the child ends without a word; its half is worked out in this process
+    me, real = os.getpid(), verify.state_complexity
+    mp.setattr(verify, "state_complexity", lambda d: real(d) if os.getpid() == me else os._exit(1))
+
+
+@pytest.mark.parametrize("run", SPLIT_RUNS)
+def test_suite_pairs_with_a_child_gives_the_serial_rows(monkeypatch, serial_pairs, run):
+    forks, real_fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    with leaves_nothing_behind():
+        assert _rows(suite_pairs(*run)) == serial_pairs[run]
+    assert len(forks) == 1
+
+
+@pytest.mark.parametrize("fallback", [_fork_fails, _pipe_fails, _no_fork, _child_dies])
+@pytest.mark.parametrize("run", SPLIT_RUNS)
+def test_suite_pairs_works_out_the_childs_half_when_it_cannot(monkeypatch, serial_pairs, run, fallback):
+    fallback(monkeypatch)
+    with leaves_nothing_behind():
+        assert _rows(suite_pairs(*run)) == serial_pairs[run]
+
+
+@pytest.mark.parametrize("run", SPLIT_RUNS)
+def test_suite_pairs_does_not_fork_beside_another_thread(monkeypatch, serial_pairs, run):
+    def unexpected():
+        raise AssertionError("forked with a second thread alive")
+
+    monkeypatch.setattr(os, "fork", unexpected)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        with leaves_nothing_behind():
+            assert _rows(suite_pairs(*run)) == serial_pairs[run]
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+
+
+@pytest.mark.parametrize("run", SPLIT_RUNS)
+def test_suite_pairs_merges_the_childs_sizes_in_order(monkeypatch, run):
+    # a size planted only in the child fails exactly the pairs at odd places
+    # of the star pairs followed by the concat pairs
+    me, real = os.getpid(), verify.state_complexity
+    monkeypatch.setattr(verify, "state_complexity", lambda d: real(d) + (os.getpid() != me) * 100)
+    words = ["".join(p) for n in range(1, run[0] + 1) for p in product("01", repeat=n)]
+    stars = ["star {%s,%s}" % (w, x) for i, w in enumerate(words) for x in words[i:]]
+    concats = ["concat %s* %s*" % wx for wx in product(words, repeat=2)]
+    pairs = set(stars + concats)
+    with leaves_nothing_behind():
+        report = suite_pairs(*run)
+    failed = [row.instance for row in report.failures() if row.instance in pairs]
+    assert failed == (stars + concats)[1::2]
+    assert not [row for row in report.rows if row.instance in pairs and row.ok]
+
+
+def test_an_interrupted_suite_pairs_kills_and_reaps_the_child(monkeypatch):
+    # the child has about 2,900 automata to build when the parent stops at its first
+    me, real = os.getpid(), verify.state_complexity
+
+    def interrupted(d):
+        if os.getpid() == me:
+            raise KeyboardInterrupt
+        return real(d)
+
+    monkeypatch.setattr(verify, "state_complexity", interrupted)
+    statuses, real_waitpid = [], os.waitpid
+    monkeypatch.setattr(os, "waitpid", lambda *args: statuses.append(real_waitpid(*args)[1]) or (0, 0))
+    with leaves_nothing_behind(), pytest.raises(KeyboardInterrupt):
+        suite_pairs(5, 12)
+    assert len(statuses) == 1 and os.WIFSIGNALED(statuses[0])
+    assert os.WTERMSIG(statuses[0]) == signal.SIGKILL
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,7 @@ from frobword.words import (
 )
 
 DEFAULT_SEED = 20240817
+_SWAP = str.maketrans("01", "10")  # an automorphism of the binary free monoid
 
 
 @dataclass
@@ -235,9 +236,12 @@ def suite_pairs(max_len: int = 6, agreement_total: int = 14) -> SuiteReport:
     ``max_len`` below 2 (no pair up to length 1 attains the star bound) or
     ``agreement_total`` below 2 (no pair at all) raise ``PreconditionViolated``;
     more than ``DEFAULT_ENUM_BUDGET`` pair automata or agreement checks
-    raise ``BudgetExceeded`` before any word is built.  A ``_fork`` child, where
-    it can, sizes every second automaton of the star pairs then the concat
-    pairs; this process sizes the rest, and the child's if it gives none.
+    raise ``BudgetExceeded`` before any word is built.  Swapping 0 and 1
+    keeps every size, so one task per orbit under the swap is sized (the
+    least of a concat pair and its image; of a star pair and its image, each
+    sorted) and its size given to the orbit.  A ``_fork`` child, where it
+    can, sizes every second of these in first-seen order; this process sizes
+    the rest, and the child's if it gives none.  A cap hit there is raised.
     """
     if max_len < 2:
         raise PreconditionViolated("max_len must be at least 2, got %d" % max_len)
@@ -255,18 +259,28 @@ def suite_pairs(max_len: int = 6, agreement_total: int = 14) -> SuiteReport:
         nfa = trie_star_nfa(WordSet.of("01", {w, x})) if star else chain_nfa([w, x], "01")
         return state_complexity(determinize(nfa))
 
+    def orbit(w: str, x: str, star: bool) -> tuple[str, str, bool]:
+        pair, image = (w, x), (w.translate(_SWAP), x.translate(_SWAP))
+        if star:  # an unordered pair
+            pair, image = tuple(sorted(pair)), tuple(sorted(image))
+        return (*min(pair, image), star)
+
     stars = [(w, x) for i, w in enumerate(words) for x in words[i:]]
     concats = list(itertools.product(words, repeat=2))
-    tasks = [(w, x, True) for w, x in stars] + [(w, x, False) for w, x in concats]
-    child = _fork(lambda: " ".join(str(size(t)) for t in tasks[1::2]))
-    sizes = [0] * len(tasks)
+    keys = [orbit(w, x, True) for w, x in stars] + [orbit(w, x, False) for w, x in concats]
+    reps = list(dict.fromkeys(keys))
+    child = _fork(lambda: " ".join(str(size(t)) for t in reps[1::2]))
+    sizes = [0] * len(reps)
     try:
-        sizes[0::2] = map(size, tasks[0::2])
+        sizes[0::2] = map(size, reps[0::2])
     except BaseException:
         _join(child, wanted=False)
         raise
-    reply = _join(child)  # a cap or budget hit in the child is raised here
-    sizes[1::2] = map(int, reply.split()) if reply and reply[0] != "!" else map(size, tasks[1::2])
+    reply = _join(child)
+    if reply and reply[0] == "!":
+        raise CapExceeded(reply[1:])
+    sizes[1::2] = map(int, reply.split()) if reply else map(size, reps[1::2])
+    sizes = list(map(dict(zip(reps, sizes)).get, keys))
     _pair_law(report, "star", "{%s,%s}", stars, predicted_pair_star_sc, sizes[: len(stars)])
     _pair_law(report, "concat", "%s* %s*", concats, predicted_pair_concat_sc, sizes[len(stars) :])
 

@@ -5,11 +5,12 @@ import os
 import threading
 import tracemalloc
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from itertools import accumulate, product
+from math import gcd
 
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from frobword import starlang
@@ -30,7 +31,7 @@ from frobword.families import (
     star_blowup_sc_floor,
     two_length_family,
 )
-from frobword.numeric import representable
+from frobword.numeric import frobenius_g, representable
 from frobword.starlang import (
     BudgetExceeded,
     PreconditionViolated,
@@ -48,7 +49,8 @@ from frobword.starlang import (
     window_star_dfa,
     window_state_bound,
 )
-from oracles import chain_upto, closure_upto, subset_table, window_star_table, words_upto
+from frobword.words import fine_wilf_agreement
+from oracles import chain_upto, closure_upto, sieve_reachable, subset_table, window_star_table, words_upto
 from processes import _fork_fails, _no_fork, _pipe_fails, leaves_nothing_behind
 
 small_sets = st.lists(
@@ -351,6 +353,42 @@ def test_measure_all_full_language():
     assert r.longest_omitted is None
     assert r.omitted_count == 0
     assert r.star_sc == 1
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(2, 15), min_size=2, max_size=4).filter(lambda lengths: gcd(*lengths) == 1))
+def test_unary_omissions_follow_the_frobenius_number(lengths):
+    # over one letter both sides omit the amounts no sum of the lengths reaches
+    g = frobenius_g(lengths)
+    r = measure_all(WordSet.of("0", ["0" * n for n in lengths]))
+    assert r.cofinite_star is r.chain_is_cofinite is True
+    assert r.longest_omitted == r.chain_longest_omitted == g
+    assert r.omitted_count == sieve_reachable(lengths, g).count(False)
+
+
+@st.composite
+def renamed_sets(draw):
+    """Words on ``01`` or ``012`` (a chain order) and a permutation of the letters."""
+    alphabet = draw(st.sampled_from(["01", "012"]))
+    words = draw(st.lists(st.text(alphabet, min_size=1, max_size=4), min_size=1, max_size=4))
+    return alphabet, words, str.maketrans(alphabet, "".join(draw(st.permutations(alphabet))))
+
+
+@settings(max_examples=200)
+@given(renamed_sets())
+def test_renaming_the_letters_changes_no_measure(case):
+    # a renaming is an automorphism of the free monoid: it maps S* onto the
+    # closure of the renamed words; witnesses may differ, their lengths not
+    alphabet, words, rename = case
+    image = [w.translate(rename) for w in words]
+
+    def lengths(ws):
+        r = measure_all(WordSet.of(alphabet, ws), ws)
+        return replace(r, longest_omitted_word=None, chain_longest_omitted_word=None)
+
+    assert lengths(image) == lengths(words)
+    for w, x in product(words, repeat=2):
+        assert fine_wilf_agreement(w.translate(rename), x.translate(rename)) == fine_wilf_agreement(w, x)
 
 
 def test_measure_all_toggles():

@@ -12,9 +12,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from frobword import verify
-from frobword.automata import CapExceeded, Dfa
+from frobword.automata import CapExceeded, Dfa, determinize, state_complexity
 from frobword.families import omitted_count_lower_bound, star_blowup_family, two_length_family
-from frobword.starlang import PreconditionViolated, minimal_star_dfa
+from frobword.starlang import PreconditionViolated, WordSet, chain_nfa, minimal_star_dfa, trie_star_nfa
 from frobword.verify import (
     _levels,
     crafted_word_sets,
@@ -372,25 +372,83 @@ def test_suite_pairs_does_not_fork_beside_another_thread(monkeypatch, serial_pai
     assert not other.is_alive()
 
 
+def _orbit_places(run):
+    """The row name of every pair of ``suite_pairs(*run)``, star pairs then
+    concat pairs, with the place of its orbit under the swap of 0 and 1
+    among the orbits in the order they are first met."""
+    words = ["".join(p) for n in range(1, run[0] + 1) for p in product("01", repeat=n)]
+    flip = str.maketrans("01", "10")
+    pairs = [
+        ("star {%s,%s}" % (w, x), frozenset({w, x}), frozenset({w.translate(flip), x.translate(flip)}))
+        for i, w in enumerate(words)
+        for x in words[i:]
+    ]
+    pairs += [("concat %s* %s*" % wx, wx, tuple(v.translate(flip) for v in wx)) for wx in product(words, repeat=2)]
+    places, orbits = {}, 0
+    for _, pair, image in pairs:
+        if pair not in places:
+            places[pair] = places[image] = orbits
+            orbits += 1
+    return [(name, places[pair]) for name, pair, _ in pairs]
+
+
 @pytest.mark.parametrize("run", SPLIT_RUNS)
 def test_suite_pairs_merges_the_childs_sizes_in_order(monkeypatch, run):
-    # a size planted only in the child fails exactly the pairs at odd places
-    # of the star pairs followed by the concat pairs
+    # a size planted only in the child fails exactly the pairs whose orbit
+    # sits at an odd place, both members of each such orbit
     me, real = os.getpid(), verify.state_complexity
     monkeypatch.setattr(verify, "state_complexity", lambda d: real(d) + (os.getpid() != me) * 100)
-    words = ["".join(p) for n in range(1, run[0] + 1) for p in product("01", repeat=n)]
-    stars = ["star {%s,%s}" % (w, x) for i, w in enumerate(words) for x in words[i:]]
-    concats = ["concat %s* %s*" % wx for wx in product(words, repeat=2)]
-    pairs = set(stars + concats)
+    named = _orbit_places(run)
     with leaves_nothing_behind():
         report = suite_pairs(*run)
-    failed = [row.instance for row in report.failures() if row.instance in pairs]
-    assert failed == (stars + concats)[1::2]
-    assert not [row for row in report.rows if row.instance in pairs and row.ok]
+    names = {name for name, _ in named}
+    failed = [row.instance for row in report.failures() if row.instance in names]
+    assert failed == [name for name, place in named if place % 2]
+    assert not [row for row in report.rows if row.instance in names and row.ok]
+
+
+def test_suite_pairs_sizes_each_pair_as_its_own_automaton(monkeypatch):
+    # the sizes the laws receive, against every pair's automaton built here
+    seen, real = [], verify._pair_law
+    monkeypatch.setattr(verify, "_pair_law", lambda *args: seen.append(args[1:]) or real(*args))
+    with leaves_nothing_behind():
+        suite_pairs(4, 10)
+    assert [(kind, len(pairs), len(sizes)) for kind, _, pairs, _, sizes in seen] == [
+        ("star", 465, 465),
+        ("concat", 900, 900),
+    ]
+    for kind, _, pairs, _, sizes in seen:
+        for (w, x), size in zip(pairs, sizes):
+            nfa = trie_star_nfa(WordSet.of("01", {w, x})) if kind == "star" else chain_nfa([w, x], "01")
+            assert size == state_complexity(determinize(nfa)), (kind, w, x)
+
+
+def test_suite_pairs_builds_one_automaton_per_orbit(monkeypatch):
+    calls, real = [], verify.state_complexity
+    monkeypatch.setattr(verify, "_fork", lambda fn: None)
+    monkeypatch.setattr(verify, "state_complexity", lambda d: calls.append(1) or real(d))
+    suite_pairs(5, 12)
+    assert len(calls) == 1 + max(place for _, place in _orbit_places((5, 12))) == 2914
+
+
+def test_a_cap_in_the_child_is_raised_without_sizing_its_half(monkeypatch):
+    me, real, calls = os.getpid(), verify.state_complexity, []
+
+    def capped_in_the_child(d):
+        if os.getpid() != me:
+            raise CapExceeded("planted in the child")
+        calls.append(1)
+        return real(d)
+
+    monkeypatch.setattr(verify, "state_complexity", capped_in_the_child)
+    with leaves_nothing_behind(), pytest.raises(CapExceeded, match="^planted in the child$"):
+        suite_pairs(4, 10)
+    orbits = 1 + max(place for _, place in _orbit_places((4, 10)))
+    assert len(calls) == (orbits + 1) // 2
 
 
 def test_an_interrupted_suite_pairs_kills_and_reaps_the_child(monkeypatch):
-    # the child has about 2,900 automata to build when the parent stops at its first
+    # the child has about 1,450 automata to build when the parent stops at its first
     me, real = os.getpid(), verify.state_complexity
 
     def interrupted(d):

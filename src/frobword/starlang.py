@@ -382,57 +382,62 @@ class MeasureReport:
     chain_dfa: Dfa | None = field(default=None, compare=False, repr=False)
 
 
-def _fork(fn) -> tuple[int, int] | None:
-    """Start ``fn()``, a ``str``, in a forked child that writes it, or ``!``
-    and the message of a ``CapExceeded`` or ``BudgetExceeded``, to a pipe: the
-    child's pid and the pipe's read end, for ``_join``.  ``None`` without
-    ``os.fork``, beside another thread, or when the pipe or the fork fails."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return None
-    try:
-        r, w = os.pipe()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        return None
-    if pid == 0:  # the child answers, then exits without unwinding or flushing
+def _beside(fn, work):
+    """``(work(), fn())``, ``fn()`` a ``str``, with the answers and errors of
+    ``fn`` first.  Where it can (``os.fork``, no other thread alive, the pipe
+    and the fork succeed), ``fn`` runs in a forked child beside ``work``,
+    else here, before ``work``.  The child writes its answer, or ``!`` and
+    the message of a ``CapExceeded``, to a pipe, and exits without unwinding
+    or flushing; any other error ends it silently.  The pipe is read to its
+    end, closed, and the child reaped.  The child's cap message is raised,
+    and wins over a ``CapExceeded`` or ``MemoryError`` from ``work``; any
+    other error of ``work``, or an interrupted read, kills the child first.
+    A child that gave no answer has ``fn`` run again here if ``work`` succeeded."""
+    pid = -1
+    if hasattr(os, "fork") and threading.active_count() == 1:
+        try:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+        except OSError:
+            pass
+    if pid < 0:  # no child: ``fn`` first, so its errors come first
+        answer = fn()
+        return work(), answer
+    if pid == 0:  # the child answers, then exits
         try:
             try:
-                reply = fn()
-            except (CapExceeded, BudgetExceeded) as exc:
-                reply = "!%s" % exc
-            data = reply.encode()
+                answer = fn()
+            except CapExceeded as exc:
+                answer = "!%s" % exc
+            data = answer.encode()
             while data:
                 data = data[os.write(w, data) :]
         finally:
             os._exit(0)
     os.close(w)
-    return pid, r
-
-
-def _join(child: tuple[int, int] | None, wanted: bool = True) -> str | None:
-    """The reply of a ``_fork`` child, read to the pipe's end, which is closed,
-    and the child reaped; killed first if the answer is not ``wanted`` or the
-    read is interrupted.  ``None`` for no child or one that gave no answer."""
-    if child is None:
-        return None
-    pid, r = child
-    reply = None
+    reply = failed = None
     try:
-        if wanted:
-            reply = b"".join(iter(lambda: os.read(r, 65536), b"")).decode()
+        try:
+            done = work()
+        except (CapExceeded, MemoryError) as exc:
+            failed = exc
+        reply = b"".join(iter(lambda: os.read(r, 65536), b"")).decode()
     finally:
         os.close(r)
-        if reply is None:  # not wanted, or interrupted
+        if reply is None:  # work failed otherwise, or the read was interrupted
             import signal  # not loaded at start-up, and needed only here
 
             os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
-    return reply or None
+    if reply[:1] == "!":
+        raise CapExceeded(reply[1:])
+    if failed:
+        raise failed
+    return done, reply or fn()
 
 
 _FORK_WINDOWS = 500  # below this many windows, a fork costs more than the count
@@ -442,26 +447,15 @@ def _star_side(s: WordSet, state_cap: int) -> tuple[Dfa, int]:
     """``minimal_star_dfa(s, state_cap)`` and the window state count, with the
     answers and errors of counting first.  The number of windows is checked
     before anything starts; the count runs before the build, or from
-    ``_FORK_WINDOWS`` windows up in a ``_fork`` child beside it.  The child's
-    cap message wins over the build's ``CapExceeded`` or ``MemoryError`` (the
-    build trips the cap only when the count does); a silent child is
-    recounted here unless the build failed; an interrupt kills the child."""
+    ``_FORK_WINDOWS`` windows up ``_beside`` it."""
     first, _ = _window_numbering(len(s.alphabet), s.max_word_length, state_cap)
-    child = None
-    if first[-1] >= _FORK_WINDOWS:
-        child = _fork(lambda: str(len(_window_search(s, state_cap)[0])))
-    count = None if child else len(_window_search(s, state_cap)[0])
-    try:
-        star_min = minimal_star_dfa(s, state_cap)
-    except BaseException as exc:
-        reply = _join(child, isinstance(exc, (CapExceeded, MemoryError)))
-        if reply and reply[0] == "!":
-            raise CapExceeded(reply[1:]) from None
-        raise
-    reply = _join(child)
-    if reply and reply[0] == "!":
-        raise CapExceeded(reply[1:])
-    return star_min, count or int(reply or len(_window_search(s, state_cap)[0]))
+    if first[-1] < _FORK_WINDOWS:
+        count = len(_window_search(s, state_cap)[0])
+        return minimal_star_dfa(s, state_cap), count
+    star_min, count = _beside(
+        lambda: str(len(_window_search(s, state_cap)[0])), lambda: minimal_star_dfa(s, state_cap)
+    )
+    return star_min, int(count)
 
 
 def measure_all(
@@ -475,10 +469,9 @@ def measure_all(
     """Compute all measures for one word set.
 
     The window states are counted, beside the star side's construction
-    (``_star_side``), and reported as ``window_dfa_states``; no window
-    acceptor is built, and a window count over the cap is the error raised,
-    as if it had run first.  Each side is built as ``minimal_star_dfa`` and
-    ``minimal_chain_dfa`` build it, and
+    (``_star_side``, with ``_beside``'s order of errors), and reported as
+    ``window_dfa_states``; no window acceptor is built.  Each side is built
+    as ``minimal_star_dfa`` and ``minimal_chain_dfa`` build it, and
     every omission measure is read off its minimal DFA with ``_omissions``:
     a side is the full language when it omits no word, and the chain's
     co-finiteness is its automaton's verdict (``chain_cofinite`` is the

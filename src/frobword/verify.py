@@ -41,9 +41,8 @@ from frobword.starlang import (
     BudgetExceeded,
     PreconditionViolated,
     WordSet,
+    _beside,
     _check_budget,
-    _fork,
-    _join,
     _levels,
     chain_cofinite,
     chain_nfa,
@@ -239,9 +238,8 @@ def suite_pairs(max_len: int = 6, agreement_total: int = 14) -> SuiteReport:
     raise ``BudgetExceeded`` before any word is built.  Swapping 0 and 1
     keeps every size, so one task per orbit under the swap is sized (the
     least of a concat pair and its image; of a star pair and its image, each
-    sorted) and its size given to the orbit.  A ``_fork`` child, where it
-    can, sizes every second of these in first-seen order; this process sizes
-    the rest, and the child's if it gives none.  A cap hit there is raised.
+    sorted) and its size given to the orbit.  Every second of these, in
+    first-seen order, is sized ``_beside`` the rest.
     """
     if max_len < 2:
         raise PreconditionViolated("max_len must be at least 2, got %d" % max_len)
@@ -269,17 +267,11 @@ def suite_pairs(max_len: int = 6, agreement_total: int = 14) -> SuiteReport:
     concats = list(itertools.product(words, repeat=2))
     keys = [orbit(w, x, True) for w, x in stars] + [orbit(w, x, False) for w, x in concats]
     reps = list(dict.fromkeys(keys))
-    child = _fork(lambda: " ".join(str(size(t)) for t in reps[1::2]))
     sizes = [0] * len(reps)
-    try:
-        sizes[0::2] = map(size, reps[0::2])
-    except BaseException:
-        _join(child, wanted=False)
-        raise
-    reply = _join(child)
-    if reply and reply[0] == "!":
-        raise CapExceeded(reply[1:])
-    sizes[1::2] = map(int, reply.split()) if reply else map(size, reps[1::2])
+    sizes[0::2], theirs = _beside(
+        lambda: " ".join(str(size(t)) for t in reps[1::2]), lambda: list(map(size, reps[0::2]))
+    )
+    sizes[1::2] = map(int, theirs.split())
     sizes = list(map(dict(zip(reps, sizes)).get, keys))
     _pair_law(report, "star", "{%s,%s}", stars, predicted_pair_star_sc, sizes[: len(stars)])
     _pair_law(report, "concat", "%s* %s*", concats, predicted_pair_concat_sc, sizes[len(stars) :])

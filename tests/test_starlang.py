@@ -498,14 +498,23 @@ def test_measure_all_does_not_fork_beside_another_thread(monkeypatch):
     assert not other.is_alive()
 
 
+NO_CHILD = [(cap, f) for f in (_fork_fails, _pipe_fails, _no_fork) for cap in (20_000, 5000)]
+
+
 @pytest.mark.parametrize(
-    "t, cap", [(6, 1000), (6, 300), (10, 20_000), (10, 5000)], ids=["1000", "300", "st10-20000", "st10-5000"]
+    "t, cap, fallback",
+    [(6, 1000, None), (6, 300, None), (10, 20_000, None), (10, 5000, None)]
+    + [(10, cap, f) for cap, f in NO_CHILD],
+    ids=["1000", "300", "st10-20000", "st10-5000"] + ["st10-%d-%s" % (c, f.__name__) for c, f in NO_CHILD],
 )
-def test_the_window_cap_wins_over_the_subset_cap(t, cap):
+def test_the_window_cap_wins_over_the_subset_cap(monkeypatch, t, cap, fallback):
     # st-6 has 127 windows, counted in process, 1,247 window states and 368
     # subset states; st-10 has 2,047 windows, counted in a child, 44,799
     # window states and 9,472 subset states.  At the larger cap only the
-    # window count trips, at the smaller the subset construction as well
+    # window count trips, at the smaller the subset construction as well.
+    # With no child, the count runs in process before the build
+    if fallback:
+        fallback(monkeypatch)
     s = star_blowup_family(t).words
     with leaves_nothing_behind(), pytest.raises(CapExceeded) as exc:
         measure_all(s, state_cap=cap)
@@ -553,6 +562,20 @@ def test_a_failed_star_build_does_not_recount_for_a_silent_child(monkeypatch):
     with leaves_nothing_behind(), pytest.raises(MemoryError):
         measure_all(star_blowup_family(10).words)
     assert searches == []
+
+
+def test_a_budget_hit_in_the_child_is_raised_as_itself(monkeypatch):
+    # only a cap hit crosses the pipe: any other error ends the child without
+    # an answer, and the count, run again here, raises it as itself
+    def over_budget(*args):
+        raise BudgetExceeded("planted budget")
+
+    forks, real_fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    monkeypatch.setattr(starlang, "_window_search", over_budget)
+    with leaves_nothing_behind(), pytest.raises(BudgetExceeded, match="^planted budget$"):
+        measure_all(star_blowup_family(10).words)
+    assert forks == [1]
 
 
 def test_an_interrupted_star_build_kills_and_reaps_the_child(monkeypatch):

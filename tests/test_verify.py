@@ -327,7 +327,7 @@ def _rows(report):
 def serial_pairs():
     # every size worked out in this process: no child is started
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(verify, "_fork", lambda fn: None)
+        _no_fork(mp)
         return {run: _rows(suite_pairs(*run)) for run in SPLIT_RUNS}
 
 
@@ -425,7 +425,7 @@ def test_suite_pairs_sizes_each_pair_as_its_own_automaton(monkeypatch):
 
 def test_suite_pairs_builds_one_automaton_per_orbit(monkeypatch):
     calls, real = [], verify.state_complexity
-    monkeypatch.setattr(verify, "_fork", lambda fn: None)
+    _no_fork(monkeypatch)
     monkeypatch.setattr(verify, "state_complexity", lambda d: calls.append(1) or real(d))
     suite_pairs(5, 12)
     assert len(calls) == 1 + max(place for _, place in _orbit_places((5, 12))) == 2914
@@ -445,6 +445,28 @@ def test_a_cap_in_the_child_is_raised_without_sizing_its_half(monkeypatch):
         suite_pairs(4, 10)
     orbits = 1 + max(place for _, place in _orbit_places((4, 10)))
     assert len(calls) == (orbits + 1) // 2
+
+
+@pytest.mark.parametrize("child_capped", [True, False], ids=["child-capped", "memory-alone"])
+def test_a_cap_in_the_child_wins_over_memory_here(monkeypatch, child_capped):
+    # as in measure: the child's cap message wins over this process's
+    # MemoryError, as if the child's half had been sized first
+    me, real = os.getpid(), verify.state_complexity
+
+    def sized(d):
+        if os.getpid() == me:
+            raise MemoryError
+        if child_capped:
+            raise CapExceeded("planted in the child")
+        return real(d)
+
+    forks, real_fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    monkeypatch.setattr(verify, "state_complexity", sized)
+    with leaves_nothing_behind(), pytest.raises(CapExceeded if child_capped else MemoryError) as exc:
+        suite_pairs(4, 10)
+    assert str(exc.value) == ("planted in the child" if child_capped else "")
+    assert forks == [1]
 
 
 def test_an_interrupted_suite_pairs_kills_and_reaps_the_child(monkeypatch):

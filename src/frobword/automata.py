@@ -11,13 +11,17 @@ other.  Word counts use plain Python integers, so they never overflow.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress
-from operator import eq
+from operator import eq, itemgetter
 
 DEFAULT_STATE_CAP = 1_000_000
+# ``_refine`` keeps a tail and one ``itemgetter`` per column from this many
+# states up: used on every table, they made 3,000 tables of 3-14 states about
+# 20% slower (and an ``itemgetter`` of one index returns no tuple)
+_TAIL_STATES = 256
 
 
 class CapExceeded(RuntimeError):
@@ -268,7 +272,14 @@ def _refine(d: Dfa) -> tuple[tuple[tuple[int, ...], ...], frozenset[int], list, 
     single states) and its class count.  Moore rounds split the accept/reject
     partition by signatures (own class, each successor's class) until one
     splits nothing; Moore can need about as many rounds as there are states,
-    so ``_hopcroft`` finishes both after ``2 * n.bit_length()`` rounds."""
+    so ``_hopcroft`` finishes both after ``2 * n.bit_length()`` rounds.
+
+    From ``_TAIL_STATES`` states up, once a round leaves over ``3n/4``
+    classes (``4 * (n - count) < n``, so under half the states share one),
+    each round signs only the states that still share a class and writes
+    back their labels.  A single-state class can neither split nor change
+    its least-state label, so rounds, labels and ``_hopcroft``'s ``cls`` are
+    those of full rounds."""
     cols, finals = d.cols, d.finals
     if not d.numbered:
         ids = {d.initial: 0}
@@ -283,15 +294,33 @@ def _refine(d: Dfa) -> tuple[tuple[tuple[int, ...], ...], frozenset[int], list, 
     n = len(cols[0])
     cls = list(map(finals.__contains__, range(n)))
     count = len(set(cls))
+    big = n >= _TAIL_STATES
+    succ = [itemgetter(*col) for col in cols] if big else None
+    live = None  # in the tail: the states that share their class, ascending
     for _ in range(2 * n.bit_length()):
         if count == n:  # singletons cannot split
             break
         sig: dict[tuple, int] = {}
-        keys = zip(cls, *[map(cls.__getitem__, col) for col in cols])
-        cls = list(map(sig.setdefault, keys, range(n)))
-        if len(sig) == count:
-            break
-        count = len(sig)
+        if live is None:
+            rows = [get(cls) for get in succ] if big else [map(cls.__getitem__, col) for col in cols]
+            cls = list(map(sig.setdefault, zip(cls, *rows), range(n)))
+            if len(sig) == count:
+                break
+            count = len(sig)
+            if big and 4 * (n - count) < n:
+                live, labels = range(n), cls
+        else:
+            rows = [itemgetter(*map(col.__getitem__, live))(cls) for col in cols]
+            labels = list(map(sig.setdefault, zip(itemgetter(*live)(cls), *rows), live))
+            if len(sig) == count - n + len(live):  # as many classes in ``live`` as before
+                break
+            count = n - len(live) + len(sig)
+            for s, c in zip(live, labels):
+                cls[s] = c
+        if live is not None:  # keep the states whose class has two or more
+            del sig  # beside the count, the signatures raised the peak memory
+            size = Counter(labels)
+            live = list(compress(live, map((1).__lt__, map(size.__getitem__, labels))))
     else:
         if count < n:
             cls, count = _hopcroft(cols, cls)

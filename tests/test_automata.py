@@ -362,6 +362,93 @@ def test_minimize_long_unary_cycle(period):
     assert m.transitions == tuple(((s + 1) % period,) for s in range(period))
 
 
+def budgeted_moore(cols, finals):
+    """``_refine``'s Moore phase with every round signing every state: the
+    labels and class count it ends with, the labels it hands to Hopcroft
+    (None when it needs no finish), the rounds it signed, and how many of
+    them began with at least three quarters of the states alone in a class."""
+    n = len(cols[0])
+    cls = [s in finals for s in range(n)]
+    count, rounds, tail_rounds = len(set(cls)), 0, 0
+    while rounds < 2 * n.bit_length() and count < n:
+        tail_rounds += 4 * (n - count) < n
+        rounds += 1
+        sig = {}
+        cls = [sig.setdefault((cls[s], *(cls[col[s]] for col in cols)), s) for s in range(n)]
+        if len(sig) == count:
+            return cls, count, None, rounds, tail_rounds
+        count = len(sig)
+    return cls, count, cls if count < n else None, rounds, tail_rounds
+
+
+def tail_table(rnd, head, sigma, path):
+    """``head`` states with random finals, reached in turn along symbol 0 and
+    otherwise random, the last one's symbol 0 random too when ``path`` is 0;
+    else it enters a path of ``path`` rejecting states on symbol 0 into an
+    accepting loop, the path's other symbols leading to a rejecting sink."""
+    n = head + path + 2 if path else head
+    loop, sink = head + path, head + path + 1
+    rows = [(s + 1, *(rnd.randrange(head) for _ in range(1, sigma))) for s in range(head)]
+    rows[-1] = (head if path else rnd.randrange(head), *rows[-1][1:])
+    rows += [(s + 1, *[sink] * (sigma - 1)) for s in range(head, loop)]
+    rows += [(loop,) * sigma, (sink,) * sigma] if path else []
+    finals = {s for s in range(head) if rnd.random() < 0.5} | ({loop} if path else set())
+    return Dfa("012"[:sigma], tuple(rows), 0, frozenset(finals)), n
+
+
+def refine_against_budgeted_moore(d, monkeypatch):
+    """``_refine(d)``'s labels, count and Hopcroft hand-off (Hopcroft itself
+    replaced by the identity) equal ``budgeted_moore``'s; its rounds returned."""
+    handed = []
+
+    def finish(cols, cls):
+        handed.append(list(cls))
+        return cls, len(set(cls))
+
+    monkeypatch.setattr(automata, "_hopcroft", finish)
+    cols, finals, cls, count = automata._refine(d)
+    want_cls, want_count, want_handed, rounds, tail_rounds = budgeted_moore(cols, finals)
+    assert (cls, count) == (want_cls, want_count)
+    assert handed == ([] if want_handed is None else [want_handed])
+    return len(cols[0]), count, rounds, tail_rounds, bool(handed)
+
+
+def test_refine_tail_matches_full_rounds_on_random_mostly_minimal_tables(monkeypatch):
+    # random successors and finals tell most states apart within a few
+    # rounds, so the gate opens before the last: over two or three symbols
+    # that last round confirms or finishes the partition, over one symbol
+    # the states' futures are random final patterns along one path, and the
+    # pairs that agree longest are split over several rounds in the tail
+    # (at this seed every table runs at least one round there)
+    rnd = random.Random(6)
+    for _ in range(30):
+        d, n = tail_table(rnd, rnd.randint(256, 2000), rnd.randint(1, 3), 0)
+        got_n, _, _, tail_rounds, _ = refine_against_budgeted_moore(d, monkeypatch)
+        assert got_n == n >= automata._TAIL_STATES and tail_rounds > 0
+
+
+@pytest.mark.parametrize("head", [300, 450, 600])
+def test_refine_tail_matches_full_rounds_on_a_deep_path(head, monkeypatch):
+    # the random head is apart within a few rounds and the path is under a
+    # fifth of the states, so the gate opens early; the path splits off one
+    # state per round and would need 60 rounds, so the budget runs out in
+    # the tail and Hopcroft gets the path's states still sharing a class
+    d, n = tail_table(random.Random(head), head, 2, 60)
+    got_n, count, rounds, tail_rounds, handed = refine_against_budgeted_moore(d, monkeypatch)
+    assert (got_n, rounds, handed) == (n, 2 * n.bit_length(), True)
+    assert count < n and tail_rounds > 0
+
+
+def test_refine_tail_last_split_in_the_final_budgeted_round(monkeypatch):
+    # the 10-state path above, behind 300 random states: the path's 18
+    # states split off one per round, its first from the sink in round 18,
+    # the last of the 2 * (320).bit_length() budget; three rounds leave under
+    # a quarter of the states sharing a class, so rounds 4 to 18 run in the
+    # tail, and no Hopcroft follows
+    d, n = tail_table(random.Random(0), 300, 2, 18)
+    assert refine_against_budgeted_moore(d, monkeypatch) == (n, n, 18, 15, False)
+
+
 @st.composite
 def deep_dfas(draw):
     """Random DFAs whose symbol 0 walks a long path; finals only near its

@@ -23,6 +23,7 @@ from frobword.cli import (
     parse_word_set_file,
 )
 from frobword import verify
+from frobword.starlang import WordSet, measure_all
 from frobword.verify import SuiteReport
 
 
@@ -483,11 +484,16 @@ PINNED_MEASURES = {
         "2085f6932a1bd8f2bcd9d9680c729fefe9d2db6a8dc2416bd37d3d3f5075a5e3",
     ),
     "chain-3": (["chain", "--t", "3"], "311d4f2382600384f4fb597f4feb6b0b5475673a456d8bc435284b07aa01b77f"),
-    # two benchmark items, with the digests of perfbench/expected.json
+    # the four benchmark items, with the digests of perfbench/expected.json
     "st-10": (["st", "--t", "10"], "cff244dd9cdd898aba9971ec5b0ceb9c44a0fe97381e97caef2b164be226d5b0"),
     "tmn-5-6": (
         ["tmn", "--m", "5", "--n", "6"],
         "eff48667d4d2a19c6952bab8c6988cef7e0df2c89ac26fc8e188e0d3d972ed29",
+    ),
+    "st-11": (["st", "--t", "11"], "3fc0c1259da471be3fb7a013288411d242534f8f6061ba107a80f91e1db0c5eb"),
+    "tmn-4-7": (
+        ["tmn", "--m", "4", "--n", "7"],
+        "22cd4125d917a142fd8ee135c0c3bd9658af12ad43d1085eab7b4048e20d0157",
     ),
 }
 
@@ -500,6 +506,29 @@ def test_measure_reports_are_byte_stable(capsys, monkeypatch, item):
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     code, out, _ = run(capsys, "measure", "-", "--no-timing")
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (EXIT_OK, digest)
+
+
+# sha256 of ``repr((cols, sorted(finals)))`` of the minimal table that
+# ``measure`` reads on one side of a ``gen`` output: the report holds only
+# sizes, so these pin the tables themselves, their class numbering included
+PINNED_DFAS = {
+    "st-11-star": (["st", "--t", "11"], "21715488afd633c943babbfa2992e757aa760c35ef376081b38f8171d69a4eb9"),
+    "tmn-4-7-chain": (
+        ["tmn", "--m", "4", "--n", "7"],
+        "5be86f7a8bc6c4bbe610ac649299c4752da054c0a4259a642c8e52b7b2994bc5",
+    ),
+}
+
+
+@pytest.mark.parametrize("item", list(PINNED_DFAS))
+def test_measured_dfas_are_byte_stable(capsys, item):
+    gen_args, digest = PINNED_DFAS[item]
+    _, text, _ = run(capsys, "gen", *gen_args)
+    alphabet, words = parse_word_set_file(text)
+    side = item.rsplit("-", 1)[1]
+    report = measure_all(WordSet.of(alphabet, words), words, star=side == "star", chain=side == "chain")
+    d = getattr(report, side + "_dfa")
+    assert hashlib.sha256(repr((d.cols, sorted(d.finals))).encode()).hexdigest() == digest
 
 
 def test_the_modules_run_as_programs(tmp_path):

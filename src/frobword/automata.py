@@ -18,9 +18,9 @@ from itertools import chain, compress
 from operator import eq, itemgetter
 
 DEFAULT_STATE_CAP = 1_000_000
-# ``_refine`` keeps a tail and one ``itemgetter`` per column from this many
-# states up: used on every table, they made 3,000 tables of 3-14 states about
-# 20% slower (and an ``itemgetter`` of one index returns no tuple)
+# ``_refine`` compacts its ``live`` states from this many states up: ungated,
+# the compaction made the 2,914 tables of at most 22 states that ``verify
+# pairs --max-len 5`` refines about 45% slower (CPython 3.11)
 _TAIL_STATES = 256
 
 
@@ -274,12 +274,12 @@ def _refine(d: Dfa) -> tuple[tuple[tuple[int, ...], ...], frozenset[int], list, 
     splits nothing; Moore can need about as many rounds as there are states,
     so ``_hopcroft`` finishes both after ``2 * n.bit_length()`` rounds.
 
-    From ``_TAIL_STATES`` states up, once a round leaves over ``3n/4``
-    classes (``4 * (n - count) < n``, so under half the states share one),
-    each round signs only the states that still share a class and writes
-    back their labels.  A single-state class can neither split nor change
-    its least-state label, so rounds, labels and ``_hopcroft``'s ``cls`` are
-    those of full rounds."""
+    Each round signs the states in ``live``, at first every state, and
+    writes back their labels.  From ``_TAIL_STATES`` states up, once a round
+    leaves over ``3n/4`` classes (``4 * (n - count) < n``, so under half the
+    states share one), ``live`` shrinks to the states still sharing a class.
+    A single-state class can neither split nor change its least-state label,
+    so rounds, labels and ``_hopcroft``'s ``cls`` are those of full rounds."""
     cols, finals = d.cols, d.finals
     if not d.numbered:
         ids = {d.initial: 0}
@@ -294,30 +294,25 @@ def _refine(d: Dfa) -> tuple[tuple[tuple[int, ...], ...], frozenset[int], list, 
     n = len(cols[0])
     cls = list(map(finals.__contains__, range(n)))
     count = len(set(cls))
-    big = n >= _TAIL_STATES
-    succ = [itemgetter(*col) for col in cols] if big else None
-    live = None  # in the tail: the states that share their class, ascending
+    live = range(n)  # the states that sign each round, ascending
     for _ in range(2 * n.bit_length()):
         if count == n:  # singletons cannot split
             break
+        # so n >= 2, and ``live`` is every state or, once compacted (to under
+        # n/2), the two or more sharing a class: each getter returns a tuple
+        full = len(live) == n
+        rows = [itemgetter(*(col if full else map(col.__getitem__, live)))(cls) for col in cols]
         sig: dict[tuple, int] = {}
-        if live is None:
-            rows = [get(cls) for get in succ] if big else [map(cls.__getitem__, col) for col in cols]
-            cls = list(map(sig.setdefault, zip(cls, *rows), range(n)))
-            if len(sig) == count:
-                break
-            count = len(sig)
-            if big and 4 * (n - count) < n:
-                live, labels = range(n), cls
+        labels = list(map(sig.setdefault, zip(cls if full else itemgetter(*live)(cls), *rows), live))
+        if full:
+            cls = labels
         else:
-            rows = [itemgetter(*map(col.__getitem__, live))(cls) for col in cols]
-            labels = list(map(sig.setdefault, zip(itemgetter(*live)(cls), *rows), live))
-            if len(sig) == count - n + len(live):  # as many classes in ``live`` as before
-                break
-            count = n - len(live) + len(sig)
             for s, c in zip(live, labels):
                 cls[s] = c
-        if live is not None:  # keep the states whose class has two or more
+        if len(sig) == count - n + len(live):  # as many classes in ``live`` as before
+            break
+        count = n - len(live) + len(sig)
+        if n >= _TAIL_STATES and 4 * (n - count) < n:  # keep the states whose class has two or more
             del sig  # beside the count, the signatures raised the peak memory
             size = Counter(labels)
             live = list(compress(live, map((1).__lt__, map(size.__getitem__, labels))))

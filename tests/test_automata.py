@@ -413,6 +413,15 @@ def refine_against_budgeted_moore(d, monkeypatch):
     return len(cols[0]), count, rounds, tail_rounds, bool(handed)
 
 
+@given(random_dfas())
+def test_refine_matches_full_rounds_on_small_tables(d):
+    # tables of 1-6 states, some with states out of reach, never compact
+    # ``live``; a round that splits nothing still writes back least-state
+    # labels, not the accept/reject booleans it started from
+    with pytest.MonkeyPatch.context() as mp:
+        refine_against_budgeted_moore(d, mp)
+
+
 def test_refine_tail_matches_full_rounds_on_random_mostly_minimal_tables(monkeypatch):
     # random successors and finals tell most states apart within a few
     # rounds, so the gate opens before the last: over two or three symbols

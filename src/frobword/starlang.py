@@ -440,6 +440,17 @@ def _beside(fn, work):
     return done, reply or fn()
 
 
+def _halves(fn, items: Sequence) -> list[str]:
+    """``[fn(x) for x in items]``, each ``fn(x)`` a one-line ``str``.  The
+    items at odd places run ``_beside`` the rest and come back as one
+    newline-joined reply; the two halves are merged in order."""
+    odd = items[1::2]
+    out = [""] * len(items)
+    out[0::2], theirs = _beside(lambda: "\n".join(map(fn, odd)), lambda: list(map(fn, items[0::2])))
+    out[1::2] = theirs.split("\n") if odd else []
+    return out
+
+
 _FORK_WINDOWS = 500  # below this many windows, a fork costs more than the count
 
 

@@ -11,6 +11,7 @@ violation; the small suites emit one row per instance.
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -41,8 +42,8 @@ from frobword.starlang import (
     BudgetExceeded,
     PreconditionViolated,
     WordSet,
-    _beside,
     _check_budget,
+    _halves,
     _levels,
     chain_cofinite,
     chain_nfa,
@@ -162,7 +163,8 @@ def suite_unary(count: int = 50, seed: int = DEFAULT_SEED) -> SuiteReport:
     quotients contain 1 are resampled: their closure is just a cycle and
     the closed form does not apply (they are covered by the degenerate law
     in the unit tests).  A ``count`` above the number of tuples left raises
-    ``PreconditionViolated``.
+    ``PreconditionViolated``.  The tuples are drawn first, then sized by
+    ``_halves``.
     """
     tuples = (tup for k in range(1, 5) for tup in itertools.combinations(range(1, 21), k))
     pool = sum(tup[0] // gcd(*tup) != 1 for tup in tuples)
@@ -171,18 +173,20 @@ def suite_unary(count: int = 50, seed: int = DEFAULT_SEED) -> SuiteReport:
         raise PreconditionViolated(msg % (pool, count))
     report = SuiteReport("unary")
     rng = random.Random(seed)
-    seen: set[tuple[int, ...]] = set()
+    seen: dict[tuple[int, ...], None] = {}  # the distinct tuples, in draw order
     while len(seen) < count:
         k = rng.randint(1, 4)
         tup = tuple(sorted({rng.randint(1, 20) for _ in range(k)}))
+        if tup[0] // gcd(*tup) != 1:
+            seen[tup] = None
+
+    def size(tup: tuple[int, ...]) -> str:
+        return str(state_complexity(determinize(trie_star_nfa(WordSet.of("0", ["0" * a for a in tup])))))
+
+    for tup, actual in zip(seen, _halves(size, list(seen))):
         d = gcd(*tup)
-        if tup[0] // d == 1 or tup in seen:
-            continue
-        seen.add(tup)
         predicted = d * (frobenius_g([a // d for a in tup]) + 1) + 1
-        s = WordSet.of("0", ["0" * a for a in tup])
-        actual = state_complexity(determinize(trie_star_nfa(s)))
-        report.add("lengths=%s" % (tup,), predicted, actual, predicted == actual)
+        report.add("lengths=%s" % (tup,), predicted, actual, str(predicted) == actual)
     return report
 
 
@@ -238,8 +242,9 @@ def suite_pairs(max_len: int = 6, agreement_total: int = 14) -> SuiteReport:
     raise ``BudgetExceeded`` before any word is built.  Swapping 0 and 1
     keeps every size, so one task per orbit under the swap is sized (the
     least of a concat pair and its image; of a star pair and its image, each
-    sorted) and its size given to the orbit.  Every second of these, in
-    first-seen order, is sized ``_beside`` the rest.
+    sorted) and its size given to the orbit.  These, in first-seen order,
+    then the agreement checks grouped by ``(|w| + |x|, |w|)``, are split by
+    ``_halves``.
     """
     if max_len < 2:
         raise PreconditionViolated("max_len must be at least 2, got %d" % max_len)
@@ -252,10 +257,20 @@ def suite_pairs(max_len: int = 6, agreement_total: int = 14) -> SuiteReport:
     report = SuiteReport("pairs")
     words = [w for n in range(1, max_len + 1) for w in _binary(n)]
 
-    def size(task: tuple[str, str, bool]) -> int:
-        w, x, star = task
-        nfa = trie_star_nfa(WordSet.of("01", {w, x})) if star else chain_nfa([w, x], "01")
-        return state_complexity(determinize(nfa))
+    def run(task: tuple) -> str:
+        if len(task) == 3:  # an orbit's pair: the size of its automaton
+            w, x, star = task
+            nfa = trie_star_nfa(WordSet.of("01", {w, x})) if star else chain_nfa([w, x], "01")
+            return str(state_complexity(determinize(nfa)))
+        total, la = task  # an agreement group: pairs checked, then violation rows
+        bound, checked, rows = total - gcd(la, total - la) - 1, 0, []
+        for w, x in itertools.product(_binary(la), _binary(total - la)):
+            agr = fine_wilf_agreement(w, x)
+            if agr != INFINITE:  # not a commuting pair
+                checked += 1
+                if agr > bound:
+                    rows.append(("agreement (%s,%s)" % (w, x), "<= %d" % bound, agr))
+        return json.dumps([checked, rows])
 
     def orbit(w: str, x: str, star: bool) -> tuple[str, str, bool]:
         pair, image = (w, x), (w.translate(_SWAP), x.translate(_SWAP))
@@ -267,27 +282,17 @@ def suite_pairs(max_len: int = 6, agreement_total: int = 14) -> SuiteReport:
     concats = list(itertools.product(words, repeat=2))
     keys = [orbit(w, x, True) for w, x in stars] + [orbit(w, x, False) for w, x in concats]
     reps = list(dict.fromkeys(keys))
-    sizes = [0] * len(reps)
-    sizes[0::2], theirs = _beside(
-        lambda: " ".join(str(size(t)) for t in reps[1::2]), lambda: list(map(size, reps[0::2]))
-    )
-    sizes[1::2] = map(int, theirs.split())
-    sizes = list(map(dict(zip(reps, sizes)).get, keys))
+    groups = [(total, la) for total in range(2, agreement_total + 1) for la in range(1, total)]
+    out = _halves(run, reps + groups)
+    sizes = list(map(dict(zip(reps, map(int, out))).get, keys))
     _pair_law(report, "star", "{%s,%s}", stars, predicted_pair_star_sc, sizes[: len(stars)])
     _pair_law(report, "concat", "%s* %s*", concats, predicted_pair_concat_sc, sizes[len(stars) :])
 
     checked = viol = 0
-    for total in range(2, agreement_total + 1):
-        for la in range(1, total):
-            bound = total - gcd(la, total - la) - 1
-            for w, x in itertools.product(_binary(la), _binary(total - la)):
-                agr = fine_wilf_agreement(w, x)
-                if agr == INFINITE:  # a commuting pair
-                    continue
-                checked += 1
-                if agr > bound:
-                    viol += 1
-                    report.add("agreement (%s,%s)" % (w, x), "<= %d" % bound, agr, False)
+    for n, rows in map(json.loads, out[len(reps) :]):
+        checked, viol = checked + n, viol + len(rows)
+        for row in rows:
+            report.add(*row, False)
     report.tally("agreement bound, %d non-commuting pairs" % checked, "violations", viol)
     return report
 
@@ -400,9 +405,11 @@ def suite_chain_cofinite(count: int = 100, seed: int = DEFAULT_SEED) -> SuiteRep
     """Chain-of-stars co-finiteness: the closed-form criterion
     ``chain_cofinite`` versus the automaton's verdict, the one ``measure``
     reports, over random one-letter and two-letter instances with mixed
-    length gcds."""
+    length gcds.  The instances are drawn first, then decided by
+    ``_halves``; a cap hit is its instance's row."""
     report = SuiteReport("chain-cofinite")
     rng = random.Random(seed)
+    instances = []
     for i in range(count):
         alphabet = "0" if rng.random() < 0.5 else "01"
         k = rng.randint(1, 4)
@@ -414,14 +421,21 @@ def suite_chain_cofinite(count: int = 100, seed: int = DEFAULT_SEED) -> SuiteRep
                 xs.append("0" * n)
             else:
                 xs.append("".join(rng.choice(alphabet) for _ in range(n)))
+        instances.append((xs, alphabet))
+
+    def verdict(instance: tuple[list[str], str]) -> str:
+        try:
+            return str(is_cofinite(minimal_chain_dfa(*instance)))
+        except CapExceeded as exc:  # this instance's row, not the end of the suite
+            return "cap " + str(exc)
+
+    for (xs, alphabet), actual in zip(instances, _halves(verdict, instances)):
         predicted = chain_cofinite(xs, alphabet)
         instance = "chain %s over %r" % ("/".join(xs), alphabet)
-        try:
-            actual = is_cofinite(minimal_chain_dfa(xs, alphabet))
-        except CapExceeded as exc:
-            report.limit(instance, predicted, exc)
-            continue
-        report.add(instance, predicted, actual, predicted == actual)
+        if actual.startswith("cap "):
+            report.limit(instance, predicted, CapExceeded(actual[4:]))
+        else:
+            report.add(instance, predicted, actual, str(predicted) == actual)
     return report
 
 
@@ -455,21 +469,25 @@ def suite_bounds(count: int = 200, seed: int = DEFAULT_SEED, deep: bool = True) 
     The omissions are read by ``_omissions``, as ``measure`` reads them, but
     off the minimized window acceptor, so the route stays independent.
     Each law is one ``check``: a violation adds a row named after the law
-    and the instance, and one summary row per law gives the counts.
+    and the instance, and one summary row per law gives the counts.  The
+    chain orders are drawn first; the sets are then checked by ``_halves``
+    and their results replayed in corpus order.
     """
     report = SuiteReport("bounds")
     corpus = random_word_sets(count, seed) + crafted_word_sets()
     rng = random.Random(seed + 1)
     deep_len = {"01": 12, "012": 8} if deep else {}
-    checked, bad = Counter(), Counter()  # law -> instances checked, violated
+    orders = [list(s.words) for s in corpus]  # a deep set's is shuffled, in corpus order
+    for s, order in zip(corpus, orders):
+        if s.alphabet in deep_len:
+            rng.shuffle(order)
 
-    def check(law: str, ok: bool, instance, predicted, actual) -> None:
-        checked[law] += 1
-        if not ok:
-            bad[law] += 1
-            report.add("%s %s" % (law, instance), predicted, actual, False)
+    def laws(i: int) -> str:  # set i's law results, as a JSON list of check arguments
+        s, order, results = corpus[i], orders[i], []
 
-    for s in corpus:
+        def check(law: str, ok: bool, instance, predicted, actual) -> None:
+            results.append((law, ok, str(instance), str(predicted), str(actual)))
+
         words = s.words
         win = window_star_dfa(s)
         bound = window_state_bound(len(s.alphabet), s.max_word_length)
@@ -491,8 +509,6 @@ def suite_bounds(count: int = 200, seed: int = DEFAULT_SEED, deep: bool = True) 
                 check("longest omitted", len(wit) < bound, words, "< %d" % bound, len(wit))
                 check("extension condition", prefix_suffix_condition(words), words, True, False)
         if s.alphabet in deep_len:
-            order = list(words)
-            rng.shuffle(order)
             checks = (
                 ("star", d, words, [words]),
                 ("chain", minimal_chain_dfa(order, s.alphabet), order, [[x] for x in order]),
@@ -500,6 +516,15 @@ def suite_bounds(count: int = 200, seed: int = DEFAULT_SEED, deep: bool = True) 
             for kind, dfa, listed, blocks in checks:
                 w = _first_difference(dfa, _levels(s.alphabet, deep_len[s.alphabet], blocks))
                 check(kind + " oracle", w is None, "%s word %s" % (listed, w), "agree", "differ")
+        return json.dumps(results)
+
+    checked, bad = Counter(), Counter()  # law -> instances checked, violated
+    for line in _halves(laws, range(len(corpus))):
+        for law, ok, instance, predicted, actual in json.loads(line):
+            checked[law] += 1
+            if not ok:
+                bad[law] += 1
+                report.add("%s %s" % (law, instance), predicted, actual, False)
 
     report.tally("window vs trie, %d sets" % checked["window vs trie"], "differ", bad["window vs trie"])
     report.tally("window size bound, %d sets" % checked["window size"], "over", bad["window size"])

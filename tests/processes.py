@@ -1,5 +1,7 @@
 """A check and three refusals shared by the tests of the forked children of
-``measure`` and ``verify pairs``; each refusal takes a ``MonkeyPatch``."""
+``measure`` and of the ``verify`` suites that split their instances
+(``pairs``, ``unary``, ``chain-cofinite``, ``bounds``); each refusal takes
+a ``MonkeyPatch``."""
 
 import os
 from contextlib import contextmanager

@@ -599,6 +599,23 @@ def test_verify_pairs_runs_clean_under_dev_mode(tmp_path):
     assert (pairs.returncode, pairs.stderr) == (EXIT_OK, "# suite pairs: 7 checks, 0 failures, 0 cap events\n")
 
 
+@pytest.mark.parametrize(
+    "suite, count, rows", [("unary", 6, 6), ("chain-cofinite", 6, 6), ("bounds", 4, 9)]
+)
+def test_the_other_split_suites_run_clean_under_dev_mode(tmp_path, suite, count, rows):
+    # and for the child that works out the instances at odd places
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "frobword", "verify", suite, "--count", str(count)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        cwd=tmp_path,
+    )
+    expected = "# suite %s: %d checks, 0 failures, 0 cap events\n" % (suite, rows)
+    assert (done.returncode, done.stderr) == (EXIT_OK, expected)
+
+
 def test_the_cli_loads_no_process_or_serialising_module(tmp_path):
     # the start-up cost the benchmark's setup_s measures: the fork helpers
     # need only os and threading, and load signal only to kill a child

@@ -1,6 +1,7 @@
 """Star closures of word sets: membership oracles, the two DFA routes, the
 chain of stars, and the combined measure report."""
 
+import ast
 import os
 import threading
 import tracemalloc
@@ -8,6 +9,7 @@ import warnings
 from dataclasses import fields, replace
 from itertools import accumulate, product
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -457,6 +459,18 @@ def test_measure_all_counts_the_windows_in_a_child(monkeypatch):
     numbering = starlang._window_numbering
     windows = [numbering(len(s.alphabet), s.max_word_length, DEFAULT_STATE_CAP)[0][-1] for s in FORK_SETS]
     assert len(forks) == sum(n >= starlang._FORK_WINDOWS for n in windows) == 1
+
+
+def test_one_function_forks_pipes_and_reaps():
+    # every child, measure's and the verify suites', runs through _beside
+    callers = set()
+    for path in sorted(Path(starlang.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "os":
+                    if node.attr in ("fork", "pipe", "waitpid"):
+                        callers.add("%s.%s" % (path.stem, getattr(top, "name", "<module>")))
+    assert callers == {"starlang._beside"}
 
 
 def _child_dies(mp):

@@ -487,6 +487,146 @@ def test_an_interrupted_suite_pairs_kills_and_reaps_the_child(monkeypatch):
     assert os.WTERMSIG(statuses[0]) == signal.SIGKILL
 
 
+def test_suite_pairs_merges_the_childs_agreement_groups_in_order(monkeypatch):
+    # an agreement planted only in the child fails exactly the non-commuting
+    # pairs of the groups (|w| + |x|, |w|) at odd places, after the orbits
+    me, real = os.getpid(), verify.fine_wilf_agreement
+    monkeypatch.setattr(verify, "fine_wilf_agreement", lambda w, x: real(w, x) + (os.getpid() != me) * 100)
+    orbits = 1 + max(place for _, place in _orbit_places((3, 8)))
+    groups = [(total, la) for total in range(2, 9) for la in range(1, total)]
+    expected = [
+        "agreement (%s,%s)" % (w, x)
+        for place, (total, la) in enumerate(groups, orbits)
+        if place % 2
+        for w, x in product(map("".join, product("01", repeat=la)), map("".join, product("01", repeat=total - la)))
+        if w + x != x + w
+    ]
+    with leaves_nothing_behind():
+        report = suite_pairs(3, 8)
+    failed = [row.instance for row in report.failures()]
+    assert failed[:-1] == expected
+    assert failed[-1].startswith("agreement bound")
+
+
+# ---------------------------------------------------------------------------
+# suite_unary, suite_chain_cofinite and suite_bounds split their instances
+# the same way: those at odd places are worked out in a forked child
+
+SPLIT_SUITES = {
+    "unary": (suite_unary, (40, 7), "state_complexity"),
+    "chain-cofinite": (suite_chain_cofinite, (40, 7), "is_cofinite"),
+    "bounds": (suite_bounds, (6, 5), "window_star_dfa"),
+}
+
+
+@pytest.fixture(scope="module")
+def serial_rows():
+    with pytest.MonkeyPatch.context() as mp:
+        _no_fork(mp)
+        return {name: _rows(suite(*args)) for name, (suite, args, _) in SPLIT_SUITES.items()}
+
+
+def _in_the_child(mp, name, planted):
+    """``verify.<name>`` answers ``planted(real, *args)`` in a child only."""
+    me, real = os.getpid(), getattr(verify, name)
+    mp.setattr(verify, name, lambda *args: real(*args) if os.getpid() == me else planted(real, *args))
+
+
+def _silent_child(mp, name):
+    _in_the_child(mp, name, lambda real, *args: os._exit(1))
+
+
+@pytest.mark.parametrize("name", SPLIT_SUITES)
+def test_split_suite_with_a_child_gives_the_serial_rows(monkeypatch, serial_rows, name):
+    suite, args, _ = SPLIT_SUITES[name]
+    forks, real_fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    with leaves_nothing_behind():
+        assert _rows(suite(*args)) == serial_rows[name]
+    assert len(forks) == 1
+
+
+@pytest.mark.parametrize("fallback", [_fork_fails, _pipe_fails, _no_fork, _silent_child])
+@pytest.mark.parametrize("name", SPLIT_SUITES)
+def test_split_suite_works_out_the_childs_half_when_it_cannot(monkeypatch, serial_rows, name, fallback):
+    suite, args, hook = SPLIT_SUITES[name]
+    if fallback is _silent_child:
+        fallback(monkeypatch, hook)
+    else:
+        fallback(monkeypatch)
+    with leaves_nothing_behind():
+        assert _rows(suite(*args)) == serial_rows[name]
+
+
+@pytest.mark.parametrize("name", SPLIT_SUITES)
+def test_split_suite_does_not_fork_beside_another_thread(monkeypatch, serial_rows, name):
+    suite, args, _ = SPLIT_SUITES[name]
+
+    def unexpected():
+        raise AssertionError("forked with a second thread alive")
+
+    monkeypatch.setattr(os, "fork", unexpected)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        with leaves_nothing_behind():
+            assert _rows(suite(*args)) == serial_rows[name]
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+
+
+def test_suite_unary_merges_the_childs_sizes_in_order(monkeypatch, serial_rows):
+    _in_the_child(monkeypatch, "state_complexity", lambda real, d: real(d) + 100)
+    with leaves_nothing_behind():
+        rows = _rows(suite_unary(40, 7))
+    # every serial row is ok, so its predicted size is the size built here
+    assert rows == [
+        (name, predicted, str(int(predicted) + 100) if i % 2 else predicted, not i % 2)
+        for i, (name, predicted, _, _) in enumerate(serial_rows["unary"])
+    ]
+
+
+def test_suite_chain_cofinite_merges_the_childs_verdicts_in_order(monkeypatch, serial_rows):
+    _in_the_child(monkeypatch, "is_cofinite", lambda real, d: not real(d))
+    with leaves_nothing_behind():
+        rows = _rows(suite_chain_cofinite(40, 7))
+    assert rows == [
+        (name, predicted, str(predicted == "False") if i % 2 else predicted, not i % 2)
+        for i, (name, predicted, _, _) in enumerate(serial_rows["chain-cofinite"])
+    ]
+
+
+def test_suite_bounds_merges_the_childs_law_results_in_order(monkeypatch):
+    # one law planted to fail in the child: its rows name exactly the sets
+    # at odd places of the corpus, in corpus order
+    _in_the_child(monkeypatch, "equivalent", lambda real, a, b: False)
+    with leaves_nothing_behind():
+        report = suite_bounds(6, 5)
+    corpus = random_word_sets(6, 5) + crafted_word_sets()
+    assert [row.instance for row in report.failures()] == [
+        *("window vs trie %s" % (s.words,) for s in corpus[1::2]),
+        "window vs trie, %d sets" % len(corpus),
+    ]
+
+
+def test_suite_chain_cofinite_gives_a_cap_in_the_child_its_instances_rows(monkeypatch, serial_rows):
+    def capped(real, xs, alphabet):
+        raise CapExceeded("planted in the child")
+
+    _in_the_child(monkeypatch, "minimal_chain_dfa", capped)
+    with leaves_nothing_behind():
+        report = suite_chain_cofinite(40, 7)
+    assert report.cap_events == 20
+    expected = [
+        (name, predicted, "cap exceeded: planted in the child", False) if i % 2 else (name, predicted, actual, ok)
+        for i, (name, predicted, actual, ok) in enumerate(serial_rows["chain-cofinite"])
+    ]
+    assert _rows(report) == expected
+
+
 # ---------------------------------------------------------------------------
 # the concordance of suite_bounds: languages generated per length
 
@@ -545,6 +685,7 @@ def _oracle_rows(report, kind):
     ids=["reversed", "last-dropped"],
 )
 def test_chain_fault_reports_the_least_differing_word(monkeypatch, fault):
+    _no_fork(monkeypatch)  # every automaton is built, and collected, here
     real, built = verify.minimal_chain_dfa, []
 
     def faulty(order, alphabet):
@@ -563,19 +704,25 @@ def test_chain_fault_reports_the_least_differing_word(monkeypatch, fault):
     assert _oracle_rows(report, "star") == set()
 
 
-def test_star_fault_reports_the_least_differing_word(monkeypatch):
-    real, built = verify.minimize, []
+def _star_fault(real):
+    """``minimize`` with the greatest accepting state other than the initial
+    state made rejecting."""
 
     def faulty(d):
         m = real(d)
         finals = m.finals - {max(m.finals - {m.initial}, default=m.initial)}
-        m = Dfa(m.alphabet, m.transitions, m.initial, finals)
-        built.append(m)
-        return m
+        return Dfa(m.alphabet, m.transitions, m.initial, finals)
 
-    monkeypatch.setattr(verify, "minimize", faulty)
+    return faulty
+
+
+def test_star_fault_reports_the_least_differing_word(monkeypatch):
+    _no_fork(monkeypatch)  # every automaton is built, and collected, here
+    faulty, built = _star_fault(verify.minimize), []
+    monkeypatch.setattr(verify, "minimize", lambda d: built.append(faulty(d)) or built[-1])
     report = suite_bounds(count=COUNT, seed=SEED)
     corpus = random_word_sets(COUNT, SEED) + crafted_word_sets()
+    corpus = corpus[1::2] + corpus[0::2]  # without a child, the odd places run first
     expected = set()
     for s, d in zip(corpus, built, strict=True):
         if s.alphabet in DEEP:
@@ -584,6 +731,27 @@ def test_star_fault_reports_the_least_differing_word(monkeypatch):
                 expected.add("star oracle %s word %s" % (s.words, w))
     assert expected and _oracle_rows(report, "star") == expected
     assert _oracle_rows(report, "chain") == set()
+
+
+ORACLE_FAULTS = {
+    "chain-reversed": ("minimal_chain_dfa", lambda real: lambda order, a: real(order[::-1], a)),
+    "chain-last-dropped": ("minimal_chain_dfa", lambda real: lambda order, a: real(order[:-1] or order, a)),
+    "star": ("minimize", _star_fault),
+}
+
+
+@pytest.mark.parametrize("fault", ORACLE_FAULTS)
+def test_oracle_faults_give_the_serial_rows_with_a_child(monkeypatch, fault):
+    name, plant = ORACLE_FAULTS[fault]
+    monkeypatch.setattr(verify, name, plant(getattr(verify, name)))
+    forks, real_fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    with leaves_nothing_behind():
+        forked = _rows(suite_bounds(count=COUNT, seed=SEED))
+    assert forks == [1]
+    _no_fork(monkeypatch)
+    assert _rows(suite_bounds(count=COUNT, seed=SEED)) == forked
+    assert any(" oracle " in row[0] for row in forked)
 
 
 def test_tmn_checks_the_count_measure_reports(monkeypatch):

@@ -382,11 +382,12 @@ class MeasureReport:
     chain_dfa: Dfa | None = field(default=None, compare=False, repr=False)
 
 
-def _beside(fn, work):
+def _beside(fn, work, fork: bool):
     """``(work(), fn())``, ``fn()`` a ``str``, with the answers and errors of
-    ``fn`` first.  Where it can (``os.fork``, no other thread alive, the pipe
-    and the fork succeed), ``fn`` runs in a forked child beside ``work``,
-    else here, before ``work``.  The child writes its answer, or ``!`` and
+    ``fn`` first.  ``fork`` is the caller's verdict that a child pays; with
+    it, and where it can (``os.fork``, no other thread alive, the pipe and
+    the fork succeed), ``fn`` runs in a forked child beside ``work``, else
+    here, before ``work``.  The child writes its answer, or ``!`` and
     the message of a ``CapExceeded``, to a pipe, and exits without unwinding
     or flushing; any other error ends it silently.  The pipe is read to its
     end, closed, and the child reaped.  The child's cap message is raised,
@@ -394,7 +395,7 @@ def _beside(fn, work):
     other error of ``work``, or an interrupted read, kills the child first.
     A child that gave no answer has ``fn`` run again here if ``work`` succeeded."""
     pid = -1
-    if hasattr(os, "fork") and threading.active_count() == 1:
+    if fork and hasattr(os, "fork") and threading.active_count() == 1:
         try:
             r, w = os.pipe()
             try:
@@ -442,31 +443,19 @@ def _beside(fn, work):
 
 def _halves(fn, items: Sequence) -> list[str]:
     """``[fn(x) for x in items]``, each ``fn(x)`` a one-line ``str``.  The
-    items at odd places run ``_beside`` the rest and come back as one
-    newline-joined reply; the two halves are merged in order."""
+    items at odd places run ``_beside`` the rest, whose child pays when there
+    is one, and come back as one newline-joined reply; the two halves are
+    merged in order."""
     odd = items[1::2]
     out = [""] * len(items)
-    out[0::2], theirs = _beside(lambda: "\n".join(map(fn, odd)), lambda: list(map(fn, items[0::2])))
+    out[0::2], theirs = _beside(
+        lambda: "\n".join(map(fn, odd)), lambda: list(map(fn, items[0::2])), bool(odd)
+    )
     out[1::2] = theirs.split("\n") if odd else []
     return out
 
 
 _FORK_WINDOWS = 500  # below this many windows, a fork costs more than the count
-
-
-def _star_side(s: WordSet, state_cap: int) -> tuple[Dfa, int]:
-    """``minimal_star_dfa(s, state_cap)`` and the window state count, with the
-    answers and errors of counting first.  The number of windows is checked
-    before anything starts; the count runs before the build, or from
-    ``_FORK_WINDOWS`` windows up ``_beside`` it."""
-    first, _ = _window_numbering(len(s.alphabet), s.max_word_length, state_cap)
-    if first[-1] < _FORK_WINDOWS:
-        count = len(_window_search(s, state_cap)[0])
-        return minimal_star_dfa(s, state_cap), count
-    star_min, count = _beside(
-        lambda: str(len(_window_search(s, state_cap)[0])), lambda: minimal_star_dfa(s, state_cap)
-    )
-    return star_min, int(count)
 
 
 def measure_all(
@@ -479,18 +468,19 @@ def measure_all(
 ) -> MeasureReport:
     """Compute all measures for one word set.
 
-    The window states are counted, beside the star side's construction
-    (``_star_side``, with ``_beside``'s order of errors), and reported as
-    ``window_dfa_states``; no window acceptor is built.  Each side is built
-    as ``minimal_star_dfa`` and ``minimal_chain_dfa`` build it, and
-    every omission measure is read off its minimal DFA with ``_omissions``:
-    a side is the full language when it omits no word, and the chain's
-    co-finiteness is its automaton's verdict (``chain_cofinite`` is the
-    prediction ``verify chain-cofinite`` checks against it).  ``xs_order``
-    fixes the order of the chain of stars and may repeat words; it must use
-    exactly the words of the set.  It defaults to the set's canonical order.
-    ``star=False`` or ``chain=False`` skips that side entirely (the
-    corresponding fields come back ``None``).
+    The window states are counted and reported as ``window_dfa_states``; no
+    window acceptor is built.  The number of windows is checked before
+    anything starts; the count then runs ``_beside`` the star side's
+    construction, whose child pays from ``_FORK_WINDOWS`` windows up.  Each
+    side is built as ``minimal_star_dfa`` and ``minimal_chain_dfa`` build
+    it, and every omission measure is read off its minimal DFA with
+    ``_omissions``: a side is the full language when it omits no word, and
+    the chain's co-finiteness is its automaton's verdict (``chain_cofinite``
+    is the prediction ``verify chain-cofinite`` checks against it).
+    ``xs_order`` fixes the order of the chain of stars and may repeat words;
+    it must use exactly the words of the set.  It defaults to the set's
+    canonical order.  ``star=False`` or ``chain=False`` skips that side
+    entirely (the corresponding fields come back ``None``).
     """
     if xs_order is None:
         xs_order = list(s.words)
@@ -499,7 +489,13 @@ def measure_all(
 
     star_min = window_states = chain_min = None
     if star:
-        star_min, window_states = _star_side(s, state_cap)
+        first, _ = _window_numbering(len(s.alphabet), s.max_word_length, state_cap)
+        star_min, counted = _beside(
+            lambda: str(len(_window_search(s, state_cap)[0])),
+            lambda: minimal_star_dfa(s, state_cap),
+            first[-1] >= _FORK_WINDOWS,
+        )
+        window_states = int(counted)
     if chain:
         chain_min = minimal_chain_dfa(xs_order, s.alphabet, state_cap)
     sides = [(None, None, None) if d is None else _omissions(d) for d in (star_min, chain_min)]

@@ -1,7 +1,7 @@
-"""A check and three refusals shared by the tests of the forked children of
-``measure`` and of the ``verify`` suites that split their instances
-(``pairs``, ``unary``, ``chain-cofinite``, ``bounds``); each refusal takes
-a ``MonkeyPatch``."""
+"""A check, a fork counter and three refusals shared by the tests of the
+forked children of ``measure`` and of the ``verify`` suites that split
+their instances (``pairs``, ``unary``, ``chain-cofinite``, ``bounds``); the
+counter and each refusal take a ``MonkeyPatch``."""
 
 import os
 from contextlib import contextmanager
@@ -19,6 +19,13 @@ def leaves_nothing_behind():
         os.waitpid(-1, os.WNOHANG)
     if before is not None:
         assert len(os.listdir(fd_dir)) == before
+
+
+def counting_forks(mp) -> list:
+    """A list that gains one item at each ``os.fork``, which still forks."""
+    forks, real_fork = [], os.fork
+    mp.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    return forks
 
 
 def _fork_fails(mp):

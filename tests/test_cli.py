@@ -568,50 +568,42 @@ def test_the_modules_run_as_programs(tmp_path):
         assert usage.stderr.endswith("error: the following arguments are required: file\n")
 
 
-def test_measure_runs_clean_under_dev_mode(capsys, tmp_path):
+def _dev_mode(tmp_path, *argv, stdin=None):
     # dev mode with warnings as errors: an unclosed pipe end (ResourceWarning)
     # or a fork beside a thread (DeprecationWarning) would fail the run
-    code, text, _ = run(capsys, "gen", "st", "--t", "8")
-    assert code == EXIT_OK
     src = str(Path(__file__).resolve().parents[1] / "src")
-    measure = subprocess.run(
-        [sys.executable, "-X", "dev", "-W", "error", "-m", "frobword", "measure", "-", "--no-timing"],
-        input=text,
+    return subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "frobword", *argv],
+        input=stdin,
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=src),
         cwd=tmp_path,
     )
+
+
+def test_measure_runs_clean_under_dev_mode(capsys, tmp_path):
+    code, text, _ = run(capsys, "gen", "st", "--t", "8")
+    assert code == EXIT_OK
+    measure = _dev_mode(tmp_path, "measure", "-", "--no-timing", stdin=text)
     assert (measure.returncode, measure.stderr) == (EXIT_OK, "")
     assert json.loads(measure.stdout)["window_dfa_states"] == 7775
 
 
 def test_verify_pairs_runs_clean_under_dev_mode(tmp_path):
     # the same check for the child that works out half of the pair automata
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    pairs = subprocess.run(
-        [sys.executable, "-X", "dev", "-W", "error", "-m", "frobword", "verify", "pairs", "--max-len", "3"],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=src),
-        cwd=tmp_path,
-    )
+    pairs = _dev_mode(tmp_path, "verify", "pairs", "--max-len", "3")
     assert (pairs.returncode, pairs.stderr) == (EXIT_OK, "# suite pairs: 7 checks, 0 failures, 0 cap events\n")
 
 
 @pytest.mark.parametrize(
-    "suite, count, rows", [("unary", 6, 6), ("chain-cofinite", 6, 6), ("bounds", 4, 9)]
+    "suite, count, rows",
+    [("unary", 6, 6), ("chain-cofinite", 6, 6), ("bounds", 4, 9), ("unary", 1, 1), ("chain-cofinite", 1, 1)],
 )
 def test_the_other_split_suites_run_clean_under_dev_mode(tmp_path, suite, count, rows):
-    # and for the child that works out the instances at odd places
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    done = subprocess.run(
-        [sys.executable, "-X", "dev", "-W", "error", "-m", "frobword", "verify", suite, "--count", str(count)],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=src),
-        cwd=tmp_path,
-    )
+    # and for the child that works out the instances at odd places, or for
+    # its absence when there is none
+    done = _dev_mode(tmp_path, "verify", suite, "--count", str(count))
     expected = "# suite %s: %d checks, 0 failures, 0 cap events\n" % (suite, rows)
     assert (done.returncode, done.stderr) == (EXIT_OK, expected)
 

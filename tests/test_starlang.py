@@ -53,7 +53,7 @@ from frobword.starlang import (
 )
 from frobword.words import fine_wilf_agreement
 from oracles import chain_upto, closure_upto, sieve_reachable, subset_table, window_star_table, words_upto
-from processes import _fork_fails, _no_fork, _pipe_fails, leaves_nothing_behind
+from processes import _fork_fails, _no_fork, _pipe_fails, counting_forks, leaves_nothing_behind
 
 small_sets = st.lists(
     st.text(alphabet="01", min_size=1, max_size=3), min_size=1, max_size=4
@@ -473,6 +473,15 @@ def test_one_function_forks_pipes_and_reaps():
     assert callers == {"starlang._beside"}
 
 
+@pytest.mark.parametrize("n, children", [(0, 0), (1, 0), (2, 1), (3, 1)])
+def test_halves_starts_a_child_only_for_an_item_at_an_odd_place(monkeypatch, n, children):
+    forks = counting_forks(monkeypatch)
+    items = list(range(5, 5 + n))
+    with leaves_nothing_behind():
+        assert starlang._halves(lambda x: str(x * x), items) == [str(x * x) for x in items]
+    assert len(forks) == children
+
+
 def _child_dies(mp):
     # the child ends without a word; the count runs again in this process
     me, search = os.getpid(), starlang._window_search
@@ -584,8 +593,7 @@ def test_a_budget_hit_in_the_child_is_raised_as_itself(monkeypatch):
     def over_budget(*args):
         raise BudgetExceeded("planted budget")
 
-    forks, real_fork = [], os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    forks = counting_forks(monkeypatch)
     monkeypatch.setattr(starlang, "_window_search", over_budget)
     with leaves_nothing_behind(), pytest.raises(BudgetExceeded, match="^planted budget$"):
         measure_all(star_blowup_family(10).words)

@@ -27,7 +27,7 @@ from frobword.verify import (
     suite_unary,
 )
 from oracles import chain_upto, closure_upto, words_upto
-from processes import _fork_fails, _no_fork, _pipe_fails, leaves_nothing_behind
+from processes import _fork_fails, _no_fork, _pipe_fails, counting_forks, leaves_nothing_behind
 
 
 def test_random_word_sets_deterministic():
@@ -323,55 +323,6 @@ def _rows(report):
     return [(row.instance, row.predicted, row.actual, row.ok) for row in report.rows]
 
 
-@pytest.fixture(scope="module")
-def serial_pairs():
-    # every size worked out in this process: no child is started
-    with pytest.MonkeyPatch.context() as mp:
-        _no_fork(mp)
-        return {run: _rows(suite_pairs(*run)) for run in SPLIT_RUNS}
-
-
-def _child_dies(mp):
-    # the child ends without a word; its half is worked out in this process
-    me, real = os.getpid(), verify.state_complexity
-    mp.setattr(verify, "state_complexity", lambda d: real(d) if os.getpid() == me else os._exit(1))
-
-
-@pytest.mark.parametrize("run", SPLIT_RUNS)
-def test_suite_pairs_with_a_child_gives_the_serial_rows(monkeypatch, serial_pairs, run):
-    forks, real_fork = [], os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
-    with leaves_nothing_behind():
-        assert _rows(suite_pairs(*run)) == serial_pairs[run]
-    assert len(forks) == 1
-
-
-@pytest.mark.parametrize("fallback", [_fork_fails, _pipe_fails, _no_fork, _child_dies])
-@pytest.mark.parametrize("run", SPLIT_RUNS)
-def test_suite_pairs_works_out_the_childs_half_when_it_cannot(monkeypatch, serial_pairs, run, fallback):
-    fallback(monkeypatch)
-    with leaves_nothing_behind():
-        assert _rows(suite_pairs(*run)) == serial_pairs[run]
-
-
-@pytest.mark.parametrize("run", SPLIT_RUNS)
-def test_suite_pairs_does_not_fork_beside_another_thread(monkeypatch, serial_pairs, run):
-    def unexpected():
-        raise AssertionError("forked with a second thread alive")
-
-    monkeypatch.setattr(os, "fork", unexpected)
-    release = threading.Event()
-    other = threading.Thread(target=release.wait)
-    other.start()
-    try:
-        with leaves_nothing_behind():
-            assert _rows(suite_pairs(*run)) == serial_pairs[run]
-    finally:
-        release.set()
-        other.join(timeout=10)
-    assert not other.is_alive()
-
-
 def _orbit_places(run):
     """The row name of every pair of ``suite_pairs(*run)``, star pairs then
     concat pairs, with the place of its orbit under the swap of 0 and 1
@@ -460,8 +411,7 @@ def test_a_cap_in_the_child_wins_over_memory_here(monkeypatch, child_capped):
             raise CapExceeded("planted in the child")
         return real(d)
 
-    forks, real_fork = [], os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    forks = counting_forks(monkeypatch)
     monkeypatch.setattr(verify, "state_complexity", sized)
     with leaves_nothing_behind(), pytest.raises(CapExceeded if child_capped else MemoryError) as exc:
         suite_pairs(4, 10)
@@ -509,10 +459,11 @@ def test_suite_pairs_merges_the_childs_agreement_groups_in_order(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# suite_unary, suite_chain_cofinite and suite_bounds split their instances
-# the same way: those at odd places are worked out in a forked child
+# suite_pairs, suite_unary, suite_chain_cofinite and suite_bounds split their
+# instances the same way: those at odd places are worked out in a forked child
 
 SPLIT_SUITES = {
+    **{"pairs-%d-%d" % run: (suite_pairs, run, "state_complexity") for run in SPLIT_RUNS},
     "unary": (suite_unary, (40, 7), "state_complexity"),
     "chain-cofinite": (suite_chain_cofinite, (40, 7), "is_cofinite"),
     "bounds": (suite_bounds, (6, 5), "window_star_dfa"),
@@ -539,8 +490,7 @@ def _silent_child(mp, name):
 @pytest.mark.parametrize("name", SPLIT_SUITES)
 def test_split_suite_with_a_child_gives_the_serial_rows(monkeypatch, serial_rows, name):
     suite, args, _ = SPLIT_SUITES[name]
-    forks, real_fork = [], os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    forks = counting_forks(monkeypatch)
     with leaves_nothing_behind():
         assert _rows(suite(*args)) == serial_rows[name]
     assert len(forks) == 1
@@ -576,6 +526,15 @@ def test_split_suite_does_not_fork_beside_another_thread(monkeypatch, serial_row
         release.set()
         other.join(timeout=10)
     assert not other.is_alive()
+
+
+def test_a_suite_of_one_instance_starts_no_child(monkeypatch):
+    forks = counting_forks(monkeypatch)
+    with leaves_nothing_behind():
+        rows = [_rows(suite_unary(1, 7)), _rows(suite_chain_cofinite(1, 7))]
+    assert forks == []
+    _no_fork(monkeypatch)
+    assert rows == [_rows(suite_unary(1, 7)), _rows(suite_chain_cofinite(1, 7))]
 
 
 def test_suite_unary_merges_the_childs_sizes_in_order(monkeypatch, serial_rows):
@@ -744,8 +703,7 @@ ORACLE_FAULTS = {
 def test_oracle_faults_give_the_serial_rows_with_a_child(monkeypatch, fault):
     name, plant = ORACLE_FAULTS[fault]
     monkeypatch.setattr(verify, name, plant(getattr(verify, name)))
-    forks, real_fork = [], os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    forks = counting_forks(monkeypatch)
     with leaves_nothing_behind():
         forked = _rows(suite_bounds(count=COUNT, seed=SEED))
     assert forks == [1]

@@ -64,6 +64,16 @@ def _edge_masks(n: int, alphabet: str, edges) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, rows))
 
 
+def _members(mask: int) -> frozenset[int]:
+    """The states of a successor bitmask, read off its set bits alone."""
+    out = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out.append(low.bit_length() - 1)
+    return frozenset(out)
+
+
 def _new(cls, *fields, **flags):
     """An ``Nfa`` or ``Dfa`` from its stored fields, which ``_set`` checks
     with one ``min``/``max`` per column: how the constructions make them."""
@@ -117,8 +127,7 @@ class Nfa:
 
     @cached_property
     def transitions(self) -> tuple[tuple[frozenset[int], ...], ...]:
-        bits = range(self.state_count)
-        return tuple(tuple(frozenset(t for t in bits if m >> t & 1) for m in r) for r in self.masks)
+        return tuple(tuple(map(_members, row)) for row in self.masks)
 
     @classmethod
     def from_edges(cls, state_count: int, alphabet: str, edges, initial, finals) -> "Nfa":
@@ -374,11 +383,12 @@ def complement(d: Dfa) -> Dfa:
     return _new(Dfa, d.alphabet, d.cols, d.initial, finals, d.minimal, d.numbered)
 
 
-def _finite_paths(d: Dfa) -> tuple[list[int], list[int], list[int]]:
-    """Per state the initial one reaches, the number of words it accepts,
-    the length of its longest word (``-1`` for none) and the first symbol in
-    alphabet order that starts one (``-1`` for none); ``NotFinite`` when the
-    live states (reachable, and able to reach a final state) lie on a cycle.
+def _finite_paths(d: Dfa, finals) -> tuple[list[int], list[int], list[int]]:
+    """Per state the initial one reaches, the number of words leading it
+    into ``finals``, the length of the longest (``-1`` for none) and the
+    first symbol in alphabet order that starts one (``-1`` for none);
+    ``NotFinite`` when the live states (reachable, and able to reach
+    ``finals``) lie on a cycle.
 
     One iterative depth-first search (Tarjan 1972): it pushes all successors
     of a state at once and finishes the state when it is back on top, so the
@@ -388,7 +398,7 @@ def _finite_paths(d: Dfa) -> tuple[list[int], list[int], list[int]]:
     state; any other edge back leads to a dead state, which adds nothing.
     So a state's entries are final when it is finished, and the back-edge
     targets are checked once, at the end."""
-    cols, finals, indexed = d.cols, d.finals, tuple(enumerate(d.cols))
+    cols, indexed = d.cols, tuple(enumerate(d.cols))
     count = [0] * d.state_count
     longest = [-1] * d.state_count
     first = [-1] * d.state_count
@@ -435,27 +445,28 @@ def _spell_longest(d: Dfa, paths: tuple[list[int], list[int], list[int]]) -> str
     return "".join(out) if longest[d.initial] >= 0 else None
 
 
-def _complement_paths(d: Dfa) -> tuple[list[int], list[int], list[int]] | None:
-    """``_finite_paths`` of the complement, which accepts the words ``d``
-    misses, or ``None`` when it is infinite.  Every state of a ``numbered``
-    table is reachable, so a rejecting state there that loops to itself on
-    a symbol misses infinitely many words: one scan per column looks for
-    such a loop before the search runs."""
-    if d.numbered:
-        states = range(d.state_count)
-        for col in d.cols:
-            if not d.finals.issuperset(compress(states, map(eq, col, states))):
-                return None
+def _omissions(d: Dfa) -> tuple[bool, int | None, str | None]:
+    """What the language misses: whether only finitely many words, then how
+    many and the longest (``longest_word``'s tie-break, ``None`` when none
+    is missed), read off one ``_finite_paths`` search of ``d`` toward its
+    rejecting states.  Every state of a ``numbered`` table is reachable, so
+    a rejecting state there that loops to itself on a symbol misses
+    infinitely many words: one scan per column looks for such a loop before
+    the search runs."""
+    states = range(d.state_count)
+    loops = (compress(states, map(eq, col, states)) for col in d.cols)  # each column's self-loops
+    if d.numbered and not all(map(d.finals.issuperset, loops)):
+        return False, None, None
     try:
-        return _finite_paths(complement(d))
+        paths = _finite_paths(d, frozenset(states) - d.finals)
     except NotFinite:
-        return None
+        return False, None, None
+    return True, paths[0][d.initial], _spell_longest(d, paths)
 
 
 def is_cofinite(d: Dfa) -> bool:
-    """Whether all but finitely many words are accepted: whether the
-    complement has no live cycle (``_complement_paths``)."""
-    return _complement_paths(d) is not None
+    """Whether all but finitely many words are accepted: ``_omissions``' first answer."""
+    return _omissions(d)[0]
 
 
 def longest_word(d: Dfa) -> str | None:
@@ -463,25 +474,13 @@ def longest_word(d: Dfa) -> str | None:
     declared symbol order; ``None`` when no word is accepted.  Requires a
     finite language (``NotFinite`` otherwise).  One ``_finite_paths``
     search gives the lengths and the symbols to spell it with."""
-    return _spell_longest(d, _finite_paths(d))
+    return _spell_longest(d, _finite_paths(d, d.finals))
 
 
 def count_words(d: Dfa) -> int:
     """Exact number of accepted words of a finite language (``NotFinite``
     otherwise), read at ``initial`` off one ``_finite_paths`` search."""
-    return _finite_paths(d)[0][d.initial]
-
-
-def _omissions(d: Dfa) -> tuple[bool, int | None, str | None]:
-    """What the language misses: whether only finitely many words, then how
-    many and the longest (``longest_word``'s tie-break, ``None`` when none
-    is missed), read off one search of one complement (``_complement_paths``,
-    so a rejecting loop answers at once).  The complement shares ``d``'s
-    columns, so the longest word is spelled on ``d``."""
-    paths = _complement_paths(d)
-    if paths is None:
-        return False, None, None
-    return True, paths[0][d.initial], _spell_longest(d, paths)
+    return _finite_paths(d, d.finals)[0][d.initial]
 
 
 def distinguishing_word(a: Dfa, b: Dfa) -> str | None:

@@ -28,7 +28,7 @@ from frobword.automata import (
     state_complexity,
     to_dot,
 )
-from frobword.starlang import WordSet, minimal_star_dfa, window_star_dfa
+from frobword.starlang import WordSet, member_star, minimal_star_dfa, trie_star_nfa, window_star_dfa
 from oracles import finite_language, moore_state_count, sieve_g_f, subset_table, words_upto
 
 
@@ -53,6 +53,20 @@ def test_nfa_accepts_by_simulation():
     assert n.accepts("111")
     assert not n.accepts("10")
     assert not n.accepts("")
+
+
+LONG_WORDS = [
+    "", "0" * 1600, "0" * 3199, "0" * 3200, "0" * 699 + "1", "0" * 700 + "1" + "0" * 699, "1" * 5 + "0" * 700,
+]
+
+
+@pytest.mark.parametrize("words", [["0" * 1600], ["0" * 700 + "1", "0" * 699, "1"]], ids=["one-word", "three-words"])
+def test_nfa_accepts_a_long_word_as_member_star_does(words):
+    # the trie NFA has 700 or 1,600 states, so each mask has as many bits
+    s = WordSet.of("01", words)
+    nfa = trie_star_nfa(s)
+    for w in LONG_WORDS:
+        assert nfa.accepts(w) == member_star(s, w)
 
 
 NONE = frozenset()
@@ -587,6 +601,17 @@ def test_determinize_matches_subset_oracle(case, data):
         assert determinize(nfa, cap) == d
 
 
+@given(stepping_nfas())
+def test_nfa_transitions_are_the_successor_sets(case):
+    n, alphabet, edges, initial, finals = case
+    rows = [[set() for _ in alphabet] for _ in range(n)]
+    for s, c, t in edges:
+        rows[s][alphabet.index(c)].add(t)
+    nfa = Nfa.from_edges(n, alphabet, edges, initial, finals)
+    assert nfa.transitions == tuple(tuple(map(frozenset, row)) for row in rows)
+    assert Nfa(alphabet, nfa.transitions, initial, finals) == nfa
+
+
 @given(st.one_of(random_dfas(), stepping_nfas().map(lambda case: determinize(Nfa.from_edges(*case)))))
 def test_state_complexity_counts_the_classes_minimize_keeps(d):
     # random_dfas has unreachable states and is not numbered; determinize is
@@ -612,7 +637,7 @@ def test_is_cofinite_loop_check_agrees_with_the_full_analysis(d, flip):
 
 
 def test_is_cofinite_settles_a_rejecting_loop_without_the_full_analysis(monkeypatch):
-    def unexpected(d):
+    def unexpected(*args):
         raise AssertionError("_finite_paths ran")
 
     monkeypatch.setattr(automata, "_finite_paths", unexpected)
@@ -682,3 +707,47 @@ def test_finite_language_answers_match_enumeration(d, flip, minimal):
     assert is_cofinite(d) == (missed is not None)
     expected = (False, None, None) if missed is None else (True, len(missed), least_longest(missed))
     assert automata._omissions(d) == expected
+
+
+OMISSION_TABLES = [
+    pytest.param("0", ["00", "000"], False, id="misses-one-word"),
+    pytest.param("01", ["0", "1"], False, id="misses-nothing"),
+    pytest.param("01", [w for n in (2, 3) for w in words_upto("01", n) if len(w) == n], True, id="numbered"),
+    pytest.param("01", ["00", "01", "10", "11"], True, id="no-rejecting-loop"),  # misses the odd lengths
+    pytest.param("01", ["01"], False, id="infinite"),  # the plain copy has no loop scan
+]
+
+
+@pytest.mark.parametrize("analysis", ["_omissions", "is_cofinite", "count_words", "longest_word"])
+@pytest.mark.parametrize("alphabet, words, numbered", OMISSION_TABLES)
+def test_omission_analyses_build_no_automaton(monkeypatch, analysis, alphabet, words, numbered):
+    # _omissions and is_cofinite search d toward its rejecting states;
+    # count_words and longest_word read the complement built beforehand
+    d = minimal_star_dfa(WordSet.of(alphabet, words))
+    if not numbered:
+        d = Dfa(d.alphabet, d.transitions, d.initial, d.finals)
+    comp = complement(d)
+    missed = finite_language(d.alphabet, d.transitions, d.initial, comp.finals)
+    calls = {
+        "_omissions": lambda: automata._omissions(d),
+        "is_cofinite": lambda: is_cofinite(d),
+        "count_words": lambda: count_words(comp),
+        "longest_word": lambda: longest_word(comp),
+    }
+    if missed is None:
+        answers = {"_omissions": (False, None, None), "is_cofinite": False}
+    else:
+        count, longest = len(missed), least_longest(missed)
+        answers = {"_omissions": (True, count, longest), "is_cofinite": True}
+        answers.update(count_words=count, longest_word=longest)
+
+    def built(*args, **kwargs):
+        raise AssertionError("an omission analysis built an automaton")
+
+    monkeypatch.setattr(automata, "_new", built)
+    monkeypatch.setattr(automata, "complement", built)
+    if analysis in answers:
+        assert calls[analysis]() == answers[analysis]
+    else:
+        with pytest.raises(NotFinite):
+            calls[analysis]()

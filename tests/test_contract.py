@@ -5,17 +5,36 @@ process through ``cli.main``, exits 0, 2 or 3 and never prints a traceback.
 A failure outside the argument parser is one ``error: `` line, and a
 successful ``measure`` prints the report keys in the documented order.
 The drawn values are small, so the whole test runs in about a second.
+The library contract is the list of names the package exports.
 """
 
 import contextlib
 import io
 import json
 import sys
+from types import ModuleType
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import frobword
 from frobword.cli import main
+
+# what ``frobword/__init__.py`` exports; ``complement`` and
+# ``pending_star_dfa`` have no caller in the package, only users
+LIBRARY_API = [
+    "BudgetExceeded", "CapExceeded", "DEFAULT_STATE_CAP", "Dfa", "GcdNotOne", "INFINITE",
+    "MeasureReport", "Nfa", "NotFinite", "PreconditionViolated", "StarBlowupFamily",
+    "TwoLengthFamily", "WordSet", "base_repr", "chain_blowup_family", "chain_cofinite", "chain_nfa",
+    "common_root", "commutes", "complement", "count_words", "determinize", "distinguishing_word",
+    "equivalent", "fine_wilf_agreement", "frobenius_f", "frobenius_g", "gcd_all", "is_cofinite",
+    "is_degenerate", "longest_omitted_witness", "longest_word", "measure_all", "member_chain",
+    "member_star", "minimal_chain_dfa", "minimal_star_dfa", "minimize", "omitted_count_lower_bound",
+    "pending_star_dfa", "predicted_longest_omitted", "predicted_pair_concat_sc",
+    "predicted_pair_star_sc", "prefix_suffix_condition", "representable", "star_blowup_family",
+    "star_blowup_sc", "star_blowup_sc_floor", "state_complexity", "trie_star_nfa",
+    "two_length_cofinite", "two_length_family", "window_star_dfa", "window_state_bound",
+]
 
 # the report keys in the order the README gives them; a null one is followed
 # by its ``<key>_reason``
@@ -154,3 +173,8 @@ def test_cli_contract(tmp_path_factory, case, stdin):
         assert err == ""
         if argv[0] == "measure":
             _check_report(out)
+
+
+def test_the_library_exports_its_public_names():
+    exported = [n for n, v in vars(frobword).items() if not n.startswith("_") and not isinstance(v, ModuleType)]
+    assert sorted(exported) == LIBRARY_API

@@ -480,6 +480,25 @@ def test_one_function_forks_pipes_and_reaps():
     assert callers == {"starlang._beside"}
 
 
+def test_every_private_helper_has_a_caller():
+    # a module-level private name is loaded by package code outside its own
+    # definition: a docstring, an import or a test alone keeps nothing alive
+    defined, loaded = set(), set()
+    for path in sorted(Path(starlang.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            targets = top.targets if isinstance(top, ast.Assign) else [getattr(top, "target", top)]
+            names = {getattr(t, "name", getattr(t, "id", None)) for t in targets}
+            defined |= {(path.stem, n) for n in names if n and n.startswith("_") and not n.startswith("__")}
+            here = set()
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    here.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    here.add(node.attr)
+            loaded |= here - names
+    assert sorted("%s.%s" % (m, n) for m, n in defined if n not in loaded) == []
+
+
 ANSWERS = {  # what ``fn`` answers for ``x``; the str case keeps the bare ids
     "str": lambda x: str(x * x),
     "int": lambda x: x * x,

@@ -6,10 +6,10 @@ files, ``verify`` replays a verification suite as a TSV table, and
 ``oracle`` answers membership queries by brute force.
 
 Word-set file format: a header line ``alphabet: <chars>`` (ASCII, no ``#``
-or whitespace), then one word per line.  ``#`` starts a comment, blank
-lines are ignored, duplicate words are allowed and their file order is
-kept (the order matters for the chain of stars; the star closure ignores
-it).
+or whitespace), then one word per line.  A line whose first non-blank
+character is ``#`` is a comment, a ``#`` after a word is bad input, blank
+lines are ignored, and duplicate words are allowed and keep their file
+order (it matters for the chain of stars; the star closure ignores it).
 
 Exit codes: 0 success, 1 a verified invariant was violated, 2 a resource
 limit was hit (``CapExceeded``, ``BudgetExceeded``, ``MemoryError``,
@@ -50,8 +50,8 @@ class WordSetFileError(ValueError):
 
 
 def _check_carried(alphabet: str, where: str) -> None:
-    """Refuse an alphabet the word-set format cannot carry: the text is
-    ASCII, lines are stripped, and ``#`` starts a comment."""
+    """Refuse, where it comes in, an alphabet the word-set format cannot
+    carry: the text is ASCII, lines are stripped, ``#`` lines are comments."""
     bad = sorted({c for c in alphabet if not c.isascii() or c == "#" or c.isspace()})
     if bad:
         raise WordSetFileError(
@@ -200,16 +200,13 @@ def cmd_measure(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    if args.family == "chain":
-        words, _repeats = chain_blowup_family(args.t)
-        alphabet = "".join(sorted(set("".join(words))))
-    else:
-        if args.family == "st":
-            ws = star_blowup_family(args.t).words
-        else:
-            ws = two_length_family(args.m, args.n, args.alphabet).words
-        alphabet, words = ws.alphabet, ws.words
-    _check_carried(alphabet, "gen")
+    if args.family == "st":
+        alphabet, words = "01", star_blowup_family(args.t).words.words
+    elif args.family == "chain":  # the st words repeated, duplicates kept
+        alphabet, words = "01", chain_blowup_family(args.t)[0]
+    else:  # refused before the family is built, as ``verify tmn`` refuses it
+        _check_carried(args.alphabet, "--alphabet")
+        alphabet, words = args.alphabet, two_length_family(args.m, args.n, args.alphabet).words.words
     sys.stdout.write(format_word_set_file(alphabet, words))
     return EXIT_OK
 

@@ -22,7 +22,7 @@ from frobword.cli import (
     main,
     parse_word_set_file,
 )
-from frobword import verify
+from frobword import cli, verify
 from frobword.starlang import WordSet, measure_all
 from frobword.verify import SuiteReport
 
@@ -325,13 +325,46 @@ def test_gen_tmn_counts(capsys):
 def test_gen_refuses_alphabets_the_format_cannot_carry(capsys, monkeypatch, alphabet):
     code, out, err = run(capsys, "gen", "tmn", "--m", "2", "--n", "3", "--alphabet", alphabet)
     assert (code, out) == (EXIT_BAD_INPUT, "")
-    assert err.startswith("error: gen: alphabet %r" % alphabet)
+    assert err.startswith("error: --alphabet: alphabet %r" % alphabet)
     # the family has 11 words; a file that dropped the '#' ones must not be measured
     from frobword.families import two_length_family
 
     text = format_word_set_file(alphabet, two_length_family(2, 3, alphabet).words.words)
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     assert run(capsys, "measure", "-")[:2] == (EXIT_BAD_INPUT, "")
+
+
+@pytest.mark.parametrize("alphabet", ["#0", "0\u00e9", "0 1", "\t1"])
+def test_gen_tmn_refuses_the_alphabet_before_building_the_family(capsys, monkeypatch, alphabet):
+    def unbuilt(*args):
+        raise AssertionError("the family was built")
+
+    monkeypatch.setattr(cli, "two_length_family", unbuilt)
+    code, out, err = run(capsys, "gen", "tmn", "--m", "2", "--n", "3", "--alphabet", alphabet)
+    assert (code, out) == (EXIT_BAD_INPUT, "")
+    assert err == run(capsys, "verify", "tmn", "--m", "2", "--n", "3", "--alphabet", alphabet)[2]
+
+
+# sha256 of ``gen`` stdout for each argv
+PINNED_GEN = {
+    "st-6": (["st", "--t", "6"], "fe5ed2d81f18dfb8fbc47fcf70e2938999a58f22fe206f50d009aa65ccd4228d"),
+    "chain-3": (["chain", "--t", "3"], "cf23fd1f3cd28e6ab335a725ddffafb2128d97ae8669aa3146cacc1b05324b40"),
+    "tmn-3-5": (
+        ["tmn", "--m", "3", "--n", "5"],
+        "78e294bb464dbbead10c62514b7181d62c4769e3a5b56d043eaf85255849fb30",
+    ),
+    "tmn-2-3-ab": (
+        ["tmn", "--m", "2", "--n", "3", "--alphabet", "ab"],
+        "745ab7caaf51fffec06e4ea0b93e18ebbdb2d04627e4a23f3a78a1b740326002",
+    ),
+}
+
+
+@pytest.mark.parametrize("item", list(PINNED_GEN))
+def test_gen_output_is_byte_stable(capsys, item):
+    argv, digest = PINNED_GEN[item]
+    code, out, err = run(capsys, "gen", *argv)
+    assert (code, err, hashlib.sha256(out.encode()).hexdigest()) == (EXIT_OK, "", digest)
 
 
 def test_gen_chain_preserves_duplicates(tmp_path, capsys):
@@ -717,8 +750,6 @@ def test_enumeration_budgets_exit_cap_before_enumerating(capsys, argv, message):
     [(MemoryError, "out of memory during measure"), (RecursionError, "recursion too deep during measure")],
 )
 def test_resource_limits_exit_cap_without_traceback(capsys, monkeypatch, tmp_path, error, message):
-    from frobword import cli
-
     def exhausted(*args, **kwargs):
         raise error()
 

@@ -15,7 +15,7 @@ from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress
-from operator import eq, itemgetter
+from operator import itemgetter
 
 DEFAULT_STATE_CAP = 1_000_000
 # ``_refine`` compacts its ``live`` states from this many states up: ungated,
@@ -396,8 +396,8 @@ def _finite_paths(d: Dfa, finals) -> tuple[list[int], list[int], list[int]]:
     successors off the path are finished before it is.  The live states
     form a cycle exactly when an edge back onto the path leads into a live
     state; any other edge back leads to a dead state, which adds nothing.
-    So a state's entries are final when it is finished, and the back-edge
-    targets are checked once, at the end."""
+    A target in ``finals`` is live, so the search stops there at once; the
+    others are checked at the end, when every state's entries are final."""
     cols, indexed = d.cols, tuple(enumerate(d.cols))
     count = [0] * d.state_count
     longest = [-1] * d.state_count
@@ -414,6 +414,8 @@ def _finite_paths(d: Dfa, finals) -> tuple[list[int], list[int], list[int]]:
                 if not mark[t]:
                     stack.append(t)
                 elif mark[t] == 1:
+                    if t in finals:
+                        raise NotFinite("live cycle: the language is infinite")
                     back.append(t)
             continue
         stack.pop()
@@ -449,23 +451,16 @@ def _omissions(d: Dfa) -> tuple[bool, int | None, str | None]:
     """What the language misses: whether only finitely many words, then how
     many and the longest (``longest_word``'s tie-break, ``None`` when none
     is missed), read off one ``_finite_paths`` search of ``d`` toward its
-    rejecting states.  Every state of a ``numbered`` table is reachable, so
-    a rejecting state there that loops to itself on a symbol misses
-    infinitely many words: one scan per column looks for such a loop before
-    the search runs."""
-    states = range(d.state_count)
-    loops = (compress(states, map(eq, col, states)) for col in d.cols)  # each column's self-loops
-    if d.numbered and not all(map(d.finals.issuperset, loops)):
-        return False, None, None
+    rejecting states, which stops at the first edge back into one."""
     try:
-        paths = _finite_paths(d, frozenset(states) - d.finals)
+        paths = _finite_paths(d, frozenset(range(d.state_count)) - d.finals)
     except NotFinite:
         return False, None, None
     return True, paths[0][d.initial], _spell_longest(d, paths)
 
 
 def is_cofinite(d: Dfa) -> bool:
-    """Whether all but finitely many words are accepted: ``_omissions``' first answer."""
+    """Whether all but finitely many words are accepted: ``_omissions``' answer, on any table."""
     return _omissions(d)[0]
 
 

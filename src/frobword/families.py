@@ -49,6 +49,11 @@ class StarBlowupFamily:
     words: WordSet
 
 
+def _check_t(t: int) -> None:
+    if t < 2:
+        raise PreconditionViolated("the family needs t >= 2")
+
+
 def star_blowup_family(t: int) -> StarBlowupFamily:
     """The blowup set for parameter ``t >= 2``.
 
@@ -58,8 +63,7 @@ def star_blowup_family(t: int) -> StarBlowupFamily:
     than ``DEFAULT_ENUM_BUDGET`` symbols, ``1 + t(t+1)``, raise
     ``BudgetExceeded`` before any word is built.
     """
-    if t < 2:
-        raise PreconditionViolated("the family needs t >= 2")
+    _check_t(t)
     _check_budget(1 + t * (t + 1), "star blowup family would write %d symbols at t = %d", t)
     return StarBlowupFamily(t, WordSet.of("01", _blowup_words(t)))
 
@@ -75,15 +79,13 @@ def _blowup_words(t: int) -> list[str]:
 def star_blowup_sc(t: int) -> int:
     """Exact minimal DFA size of the blowup family's star closure:
     ``3 t 2**(t-2) + 2**(t-1)``."""
-    if t < 2:
-        raise PreconditionViolated("the family needs t >= 2")
+    _check_t(t)
     return 3 * t * 2 ** (t - 2) + 2 ** (t - 1)
 
 
 def star_blowup_sc_floor(t: int) -> int:
     """Easy lower bound ``2**(t-2)`` on the same minimal DFA size."""
-    if t < 2:
-        raise PreconditionViolated("the family needs t >= 2")
+    _check_t(t)
     return 2 ** (t - 2)
 
 

@@ -26,6 +26,13 @@ def _normalized(values: Iterable[int]) -> list[int]:
     return vals
 
 
+def _coprime(values: Iterable[int]) -> list[int]:
+    vals = _normalized(values)
+    if gcd(*vals) != 1:
+        raise GcdNotOne("step sizes %r have gcd %d" % (vals, gcd(*vals)))
+    return vals
+
+
 def gcd_all(values: Iterable[int]) -> int:
     """Greatest common divisor of all the step sizes."""
     return gcd(*_normalized(values))
@@ -69,13 +76,10 @@ def frobenius_g(values: Iterable[int]) -> int:
     amount is reachable; that degenerate case reports 0 (see
     ``is_degenerate``).
     """
-    vals = _normalized(values)
-    if gcd(*vals) != 1:
-        raise GcdNotOne("step sizes %r have gcd %d" % (vals, gcd(*vals)))
+    vals = _coprime(values)
     if vals[0] == 1:
         return 0
-    dist = _residue_minima(vals)
-    return max(dist) - vals[0]
+    return max(_residue_minima(vals)) - vals[0]
 
 
 def frobenius_f(values: Iterable[int]) -> int:
@@ -86,9 +90,7 @@ def frobenius_f(values: Iterable[int]) -> int:
     class minimum, which gives the count without any sieving (0 for a step
     of 1, which leaves no class but 0).
     """
-    vals = _normalized(values)
-    if gcd(*vals) != 1:
-        raise GcdNotOne("step sizes %r have gcd %d" % (vals, gcd(*vals)))
+    vals = _coprime(values)
     dist = _residue_minima(vals)
     base = vals[0]
     return sum((dist[r] - r) // base for r in range(1, base))

@@ -632,19 +632,53 @@ def test_is_cofinite_loop_check_agrees_with_the_full_analysis(d, flip):
     if flip:
         d = complement(d)
     plain = Dfa(d.alphabet, d.transitions, d.initial, d.finals)
-    assert not plain.numbered  # so the full analysis decides it
+    assert not plain.numbered  # the same search decides both
     assert is_cofinite(d) == is_cofinite(plain)
 
 
-def test_is_cofinite_settles_a_rejecting_loop_without_the_full_analysis(monkeypatch):
-    def unexpected(*args):
-        raise AssertionError("_finite_paths ran")
+class ReadColumn(tuple):
+    """A table column that logs each state whose successor is read."""
 
-    monkeypatch.setattr(automata, "_finite_paths", unexpected)
-    # the words ending in 1: the rejecting start state loops on 0
-    d = determinize(Nfa.from_edges(2, "01", [(0, "0", 0), (0, "1", 0), (0, "1", 1)], [0], [1]))
-    assert d.numbered and d.cols[0][0] == 0 and 0 not in d.finals
-    assert not is_cofinite(d)
+    def __new__(cls, col, log):
+        column = super().__new__(cls, col)
+        column.log = log
+        return column
+
+    def __getitem__(self, s):
+        self.log.append(s)
+        return tuple.__getitem__(self, s)
+
+
+# the words ending in 1: the rejecting start state loops on 0, the first edge read
+ENDS_IN_ONE = determinize(Nfa.from_edges(2, "01", [(0, "0", 0), (0, "1", 0), (0, "1", 1)], [0], [1]))
+# an accepting 2-cycle 0 <-> 1 on 1; on 0 both step into an acyclic region
+# (2 -> 3, 4 -> the dead state 5) that the search pushes first and enters last
+TWO_CYCLE = Dfa("01", [(2, 1), (2, 0), (3, 4), (5, 5), (5, 5), (5, 5)], 0, {0, 3, 4})
+FIRST_BACK_EDGE = [
+    pytest.param(ENDS_IN_ONE, numbered, analysis, [0], id="loop-%s-%s" % (kind, analysis))
+    for numbered, kind in [(True, "numbered"), (False, "plain")]
+    for analysis in ["_omissions", "is_cofinite"]
+] + [
+    pytest.param(TWO_CYCLE, False, analysis, [0, 0, 1, 1], id="two-cycle-" + analysis)
+    for analysis in ["count_words", "longest_word"]
+]
+
+
+@pytest.mark.parametrize("d, numbered, analysis, reads", FIRST_BACK_EDGE)
+def test_search_stops_at_a_back_edge_into_a_target(d, numbered, analysis, reads):
+    # the target is reachable, live and on a cycle, so the language (or its
+    # complement) is infinite whether or not the table is numbered
+    log = []
+    cols = tuple(ReadColumn(col, log) for col in d.cols)
+    table = automata._new(Dfa, d.alphabet, cols, d.initial, d.finals, numbered=numbered)
+    if analysis == "_omissions":
+        assert automata._omissions(table) == (False, None, None)
+    elif analysis == "is_cofinite":
+        assert not is_cofinite(table)
+    else:
+        with pytest.raises(NotFinite):
+            getattr(automata, analysis)(table)
+    assert log == reads
 
 
 @given(stepping_nfas())
@@ -692,7 +726,7 @@ def least_longest(words):
 def test_finite_language_answers_match_enumeration(d, flip, minimal):
     if flip:
         d = complement(d)
-    if minimal:  # numbered, so is_cofinite's loop scan runs first
+    if minimal:  # numbered, searched as any table is
         d = minimize(d)
     words = finite_language(d.alphabet, d.transitions, d.initial, d.finals)
     if words is None:
@@ -714,7 +748,7 @@ OMISSION_TABLES = [
     pytest.param("01", ["0", "1"], False, id="misses-nothing"),
     pytest.param("01", [w for n in (2, 3) for w in words_upto("01", n) if len(w) == n], True, id="numbered"),
     pytest.param("01", ["00", "01", "10", "11"], True, id="no-rejecting-loop"),  # misses the odd lengths
-    pytest.param("01", ["01"], False, id="infinite"),  # the plain copy has no loop scan
+    pytest.param("01", ["01"], False, id="infinite"),  # a plain copy, stopped by the search
 ]
 
 

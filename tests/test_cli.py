@@ -5,6 +5,8 @@ import hashlib
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -756,3 +758,28 @@ def test_resource_limits_exit_cap_without_traceback(capsys, monkeypatch, tmp_pat
     monkeypatch.setattr(cli, "measure_all", exhausted)
     f = write_ws(tmp_path, "t.ws", "alphabet: 01\n00\n011\n")
     assert run(capsys, "measure", f) == (EXIT_CAP, "", "error: %s\n" % message)
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_blocks(lang):
+    """The README's ``lang`` code blocks, in order."""
+    return re.findall(r"^```%s\n(.*?)^```" % lang, README.read_text(encoding="utf-8"), re.M | re.S)
+
+
+def test_readme_examples_run_as_shown(tmp_path, capsys, monkeypatch):
+    # the Library use block runs, and each `$ frobword ... coins.ws` command
+    # prints the lines under it, field by field: the README shows tabs as spaces
+    (library,) = readme_blocks("python")
+    exec(library, {})
+    assert capsys.readouterr().out.strip().isdigit()
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "coins.ws").write_text("alphabet: 0\n00\n000\n")
+    shown = [chunk for block in readme_blocks("sh") for chunk in block.split("$ frobword ")[1:]]
+    assert [chunk.split()[:2] for chunk in shown] == [["measure", "coins.ws"]] + [["oracle", "coins.ws"]] * 2
+    for chunk in shown:
+        command, *lines = chunk.splitlines()
+        code, out, err = run(capsys, *shlex.split(command))
+        assert (code, err) == (EXIT_OK, "")
+        assert [line.split() for line in out.splitlines()] == [line.split() for line in lines]

@@ -32,7 +32,7 @@ from frobword.families import (
     star_blowup_sc_floor,
     two_length_family,
 )
-from frobword.numeric import frobenius_g, representable
+from frobword.numeric import GcdNotOne, frobenius_f, frobenius_g, representable
 from frobword.starlang import (
     BudgetExceeded,
     PreconditionViolated,
@@ -499,6 +499,24 @@ def test_every_private_helper_has_a_caller():
     assert sorted("%s.%s" % (m, n) for m, n in defined if n not in loaded) == []
 
 
+def test_every_imported_name_is_loaded():
+    # a name a module of the package imports is read in that module;
+    # __init__.py imports to re-export, and __future__ binds nothing
+    unused = []
+    for path in sorted(Path(starlang.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported, loaded = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                imported |= {alias.asname or alias.name.partition(".")[0] for alias in node.names}
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+        unused += ["%s.%s" % (path.stem, n) for n in sorted(imported - loaded)]
+    assert unused == []
+
+
 ANSWERS = {  # what ``fn`` answers for ``x``; the str case keeps the bare ids
     "str": lambda x: str(x * x),
     "int": lambda x: x * x,
@@ -732,6 +750,8 @@ TWO_LENGTH_CALLS = (
     lambda mn: two_length_cofinite(WordSet.of("01", ["00", "000"]), *mn),
 )
 ORDER = "lengths must satisfy 0 < short < long < 2*short"
+STAR_BLOWUP_CALLS = (star_blowup_family, star_blowup_sc, star_blowup_sc_floor)
+FROBENIUS_CALLS = (frobenius_g, frobenius_f)
 
 
 @pytest.mark.parametrize(
@@ -742,6 +762,8 @@ ORDER = "lengths must satisfy 0 < short < long < 2*short"
         (TWO_LENGTH_CALLS, (3, 7), PreconditionViolated, ORDER),
         (TWO_LENGTH_CALLS, (2, 4), PreconditionViolated, ORDER),
         (TWO_LENGTH_CALLS, (4, 6), PreconditionViolated, "the two lengths must be coprime"),
+        (STAR_BLOWUP_CALLS, 1, PreconditionViolated, "the family needs t >= 2"),
+        (FROBENIUS_CALLS, [4, 6], GcdNotOne, "step sizes [4, 6] have gcd 2"),
     ],
 )
 def test_each_input_rule_raises_the_same_error_everywhere(calls, arg, error, message):

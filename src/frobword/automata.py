@@ -383,12 +383,12 @@ def complement(d: Dfa) -> Dfa:
     return _new(Dfa, d.alphabet, d.cols, d.initial, finals, d.minimal, d.numbered)
 
 
-def _finite_paths(d: Dfa, finals) -> tuple[list[int], list[int], list[int]]:
-    """Per state the initial one reaches, the number of words leading it
-    into ``finals``, the length of the longest (``-1`` for none) and the
-    first symbol in alphabet order that starts one (``-1`` for none);
-    ``NotFinite`` when the live states (reachable, and able to reach
-    ``finals``) lie on a cycle.
+def _finite_paths(d: Dfa, accepting: bool) -> tuple[list[int], list[int], list[int]]:
+    """Per state the initial one reaches, the number of words leading it to
+    a target, a state whose membership in ``d.finals`` is ``accepting``,
+    the length of the longest (``-1`` for none) and the first symbol in
+    alphabet order that starts one (``-1`` for none); ``NotFinite`` when
+    the live states (reachable, and able to reach a target) lie on a cycle.
 
     One iterative depth-first search (Tarjan 1972): it pushes all successors
     of a state at once and finishes the state when it is back on top, so the
@@ -396,14 +396,14 @@ def _finite_paths(d: Dfa, finals) -> tuple[list[int], list[int], list[int]]:
     successors off the path are finished before it is.  The live states
     form a cycle exactly when an edge back onto the path leads into a live
     state; any other edge back leads to a dead state, which adds nothing.
-    A target in ``finals`` is live, so the search stops there at once; the
-    others are checked at the end, when every state's entries are final."""
-    cols, indexed = d.cols, tuple(enumerate(d.cols))
+    A target is live, so the search stops there at once; the others are
+    checked at the end, when every state's entries are final."""
+    cols, indexed, finals = d.cols, tuple(enumerate(d.cols)), d.finals
     count = [0] * d.state_count
     longest = [-1] * d.state_count
     first = [-1] * d.state_count
     mark = [0] * d.state_count  # 0 unseen, 1 on the search path, 2 finished
-    back = []  # targets of the edges back onto the path
+    back = []  # the states that edges back onto the path lead to
     stack = [d.initial]
     while stack:
         s = stack[-1]
@@ -414,14 +414,14 @@ def _finite_paths(d: Dfa, finals) -> tuple[list[int], list[int], list[int]]:
                 if not mark[t]:
                     stack.append(t)
                 elif mark[t] == 1:
-                    if t in finals:
+                    if (t in finals) == accepting:
                         raise NotFinite("live cycle: the language is infinite")
                     back.append(t)
             continue
         stack.pop()
         if mark[s] == 1:  # else a second entry of a finished state
             mark[s] = 2
-            total = 1 if s in finals else 0
+            total = 1 if (s in finals) == accepting else 0
             top = total - 1
             for a, col in indexed:
                 t = col[s]
@@ -453,7 +453,7 @@ def _omissions(d: Dfa) -> tuple[bool, int | None, str | None]:
     is missed), read off one ``_finite_paths`` search of ``d`` toward its
     rejecting states, which stops at the first edge back into one."""
     try:
-        paths = _finite_paths(d, frozenset(range(d.state_count)) - d.finals)
+        paths = _finite_paths(d, False)
     except NotFinite:
         return False, None, None
     return True, paths[0][d.initial], _spell_longest(d, paths)
@@ -469,13 +469,13 @@ def longest_word(d: Dfa) -> str | None:
     declared symbol order; ``None`` when no word is accepted.  Requires a
     finite language (``NotFinite`` otherwise).  One ``_finite_paths``
     search gives the lengths and the symbols to spell it with."""
-    return _spell_longest(d, _finite_paths(d, d.finals))
+    return _spell_longest(d, _finite_paths(d, True))
 
 
 def count_words(d: Dfa) -> int:
     """Exact number of accepted words of a finite language (``NotFinite``
     otherwise), read at ``initial`` off one ``_finite_paths`` search."""
-    return _finite_paths(d, d.finals)[0][d.initial]
+    return _finite_paths(d, True)[0][d.initial]
 
 
 def distinguishing_word(a: Dfa, b: Dfa) -> str | None:

@@ -19,7 +19,6 @@ import warnings
 from dataclasses import dataclass, field
 from itertools import accumulate
 from math import gcd
-from operator import or_
 from typing import Iterable, Sequence
 
 from frobword.automata import (
@@ -148,25 +147,6 @@ def member_chain(xs: Sequence[str], word: str) -> bool:
 def _rank(alphabet: str, w: str) -> int:
     """The index of ``w`` among the words of its length, in ``itertools.product`` order."""
     return sum(alphabet.index(a) * len(alphabet) ** j for j, a in enumerate(reversed(w)))
-
-
-def _levels(alphabet: str, max_len: int, blocks) -> list[bytearray]:
-    """The words up to ``max_len`` of ``blocks[0]* blocks[1]* ...`` (each
-    block a collection of words), generated from the definition: level ``n``
-    holds one flag per word of length ``n``, at its ``_rank``.  Appending a
-    word of length ``k`` and rank ``c`` to the word of rank ``u`` gives rank
-    ``u * sigma**k + c``, so appending it to a whole level is one strided
-    slice; levels grow upwards, so they include repeats."""
-    sigma = len(alphabet)
-    levels = [bytearray(sigma**n) for n in range(max_len + 1)]
-    levels[0][0] = 1
-    for block in blocks:
-        spots = [(len(w), _rank(alphabet, w)) for w in block]
-        for n in range(1, max_len + 1):
-            for k, c in spots:
-                if k <= n:
-                    levels[n][c::sigma**k] = bytes(map(or_, levels[n][c::sigma**k], levels[n - k]))
-    return levels
 
 
 _ROOT = frozenset({0})
@@ -538,7 +518,7 @@ def _check_two_lengths(m: int, n: int) -> None:
 
 
 def two_length_cofinite(
-    s: WordSet, short_len: int, long_len: int, *, budget: int = DEFAULT_ENUM_BUDGET
+    s: WordSet, short_len: int, long_len: int, *, budget: int = DEFAULT_STATE_CAP
 ) -> bool:
     """Decide co-finiteness for sets whose words all have one of two lengths.
 
@@ -547,11 +527,11 @@ def two_length_cofinite(
     closure then misses only finitely many words iff the set contains every
     word of the short length and the closure contains every word of length
     ``short_len * sigma**(long_len - short_len) + long_len - short_len``
-    (sigma the alphabet size).  That borderline length is decided by
-    generating the closure's words up to it, one flag per word and length
-    (``_levels``), so the call refuses to start when that length has more
-    than ``budget`` words; over two or more letters all the flags together
-    then take under ``2 * budget`` bytes.
+    (sigma the alphabet size).  That length is walked on the window
+    acceptor, not on the trie route ``measure_all`` reads: each length's
+    states are all successors of the last length's, and every state the
+    borderline length reaches must accept.  ``budget`` caps the acceptor's
+    states (``CapExceeded``).
     """
     m, n = short_len, long_len
     _check_two_lengths(m, n)
@@ -561,6 +541,8 @@ def two_length_cofinite(
     short_words = sum(1 for w in s.words if len(w) == m)
     if short_words < sigma**m:
         return False
-    threshold = m * sigma ** (n - m) + (n - m)
-    _check_budget(sigma**threshold, "would enumerate %d words of length %d", threshold, budget=budget)
-    return all(_levels(s.alphabet, threshold, [s.words])[threshold])
+    d = window_star_dfa(s, budget)
+    states = {d.initial}
+    for _ in range(m * sigma ** (n - m) + (n - m)):
+        states = {col[q] for col in d.cols for q in states}
+    return states <= d.finals

@@ -715,14 +715,18 @@ def test_two_length_budget_exits_cap_before_enumerating(capsys, command):
     assert err == "error: budget exceeded: two-length family would enumerate %d words of length 39\n" % 2**39
 
 
-def test_verify_budget_row_exits_cap(capsys):
-    # (4,7) decides co-finiteness at length 4 * 2**3 + 3 = 35, past the budget
-    code, out, err = run(capsys, "verify", "tmn", "--m", "4", "--n", "7")
-    rows = [line.split("\t") for line in out.splitlines()[1:]]
-    assert (code, err) == (EXIT_CAP, "# suite tmn: 9 checks, 1 failures, 1 cap events\n")
-    budget = "budget exceeded: would enumerate %d words of length 35" % 2**35
-    assert rows[0] == ["decision procedure", "True", budget, "FAIL"]
-    assert [row[3] for row in rows[1:]] == ["ok"] * 8
+def test_verify_tmn_decision_row_on_the_window_acceptor(capsys):
+    # the borderline lengths, 4 * 2**3 + 3 = 35 and 3 * 3**2 + 2 = 29, have
+    # more words than any enumeration could list; the window acceptor walks them
+    for argv, checks in (
+        (["--m", "4", "--n", "7"], 9),
+        (["--m", "3", "--n", "5", "--alphabet", "012"], 8),
+    ):
+        code, out, err = run(capsys, "verify", "tmn", *argv)
+        rows = [line.split("\t") for line in out.splitlines()[1:]]
+        assert (code, err) == (EXIT_OK, "# suite tmn: %d checks, 0 failures, 0 cap events\n" % checks)
+        assert rows[0] == ["decision procedure", "True", "True", "ok"]
+        assert [row[3] for row in rows] == ["ok"] * checks
 
 
 # the counts come from the closed forms: 1 + t(t+1) symbols in the star family,

@@ -707,7 +707,9 @@ def test_two_length_cofinite_decision():
 @st.composite
 def two_length_sets(draw):
     m, n, alphabet = draw(
-        st.sampled_from([(2, 3, "01"), (3, 4, "01"), (3, 5, "01"), (2, 3, "012")])
+        st.sampled_from(
+            [(2, 3, "01"), (3, 4, "01"), (3, 5, "01"), (2, 3, "012"), (4, 7, "01"), (3, 5, "012")]
+        )
     )
 
     def some(length):
@@ -717,27 +719,43 @@ def two_length_sets(draw):
         few = draw(st.lists(st.sampled_from(every), unique=True, max_size=4))
         return [w for w in every if w not in few] if draw(st.booleans()) else few
 
-    kept = some(m) + some(n)
+    # half the draws keep every short word, so the borderline length is decided
+    every_short = ["".join(p) for p in product(alphabet, repeat=m)]
+    kept = (every_short if draw(st.booleans()) else some(m)) + some(n)
     assume(kept)
     return WordSet.of(alphabet, kept), m, n
 
 
 @given(two_length_sets())
+@example((two_length_family(2, 3, "012").words, 2, 3))
 def test_two_length_cofinite_matches_automaton(case):
     s, m, n = case
-    assert two_length_cofinite(s, m, n) == is_cofinite(minimal_star_dfa(s))
+    decided = two_length_cofinite(s, m, n)
+    assert decided == is_cofinite(minimal_star_dfa(s))
+    borderline = m * len(s.alphabet) ** (n - m) + n - m
+    if borderline <= 7:  # the criterion itself, on every word the oracles list
+        closure = closure_upto(s.words, borderline)
+        shorts = {w for w in words_upto(s.alphabet, m) if len(w) == m}
+        longs = [w for w in words_upto(s.alphabet, borderline) if len(w) == borderline]
+        assert decided == (shorts <= set(s.words) and all(w in closure for w in longs))
 
 
-def test_two_length_cofinite_budget():
+def test_two_length_cofinite_budget(monkeypatch):
     from frobword.families import two_length_family
 
     fam = two_length_family(3, 5)
-    with pytest.raises(BudgetExceeded):
+    # the window acceptor of the (3,5) family has 168 states: a cap of exactly 168 suffices
+    assert two_length_cofinite(fam.words, 3, 5, budget=168) is True
+    with pytest.raises(CapExceeded, match="exceeded 167 states"):
+        two_length_cofinite(fam.words, 3, 5, budget=167)
+
+    # the 31 windows, the strings shorter than 5, are over 10: refused before any move is worked out
+    def unexpected(words):
+        raise AssertionError("the window moves were worked out")
+
+    monkeypatch.setattr(starlang, "_length_index", unexpected)
+    with pytest.raises(CapExceeded, match="^window construction exceeded 10 states$"):
         two_length_cofinite(fam.words, 3, 5, budget=10)
-    # the borderline length is 3 * 2**2 + 2 = 14: a budget of exactly 2**14 words suffices
-    assert two_length_cofinite(fam.words, 3, 5, budget=2**14) is True
-    with pytest.raises(BudgetExceeded, match="16384 words of length 14"):
-        two_length_cofinite(fam.words, 3, 5, budget=2**14 - 1)
 
 
 CHAIN_CALLS = (

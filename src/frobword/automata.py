@@ -15,7 +15,7 @@ from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress
-from operator import itemgetter
+from operator import index, itemgetter
 
 DEFAULT_STATE_CAP = 1_000_000
 # ``_refine`` compacts its ``live`` states from this many states up: ungated,
@@ -43,6 +43,14 @@ def _check_range(values, n: int, what: str) -> None:
         raise ValueError("%s %d out of range" % (what, bad))
 
 
+def _states(values) -> frozenset[int]:
+    """The values as a frozenset of integers, refused at the first that is not one."""
+    try:
+        return frozenset(map(index, values))
+    except TypeError as exc:
+        raise ValueError("states must be a collection of integers: %s" % exc) from None
+
+
 def _symbols(alphabet: str, word: str) -> list[int]:
     sym = {c: i for i, c in enumerate(alphabet)}
     try:
@@ -58,7 +66,7 @@ def _edge_masks(n: int, alphabet: str, edges) -> tuple[tuple[int, ...], ...]:
     rows = [[0] * len(alphabet) for _ in range(n)]
     for edge in edges:
         s, c, t = edge
-        if not (0 <= s < n and 0 <= t < n and c in sym):
+        if not (isinstance(s, int) and isinstance(t, int) and 0 <= s < n and 0 <= t < n and c in sym):
             raise ValueError("edge %r is outside %d states over %r" % (edge, n, alphabet))
         rows[s][sym[c]] |= 1 << t
     return tuple(map(tuple, rows))
@@ -105,7 +113,7 @@ class Nfa:
             (s, c, t) for s, row in enumerate(transitions) for c, ts in zip(alphabet, row) for t in ts
         ]
         masks = _edge_masks(len(transitions), alphabet, edges)
-        self._set(alphabet, masks, frozenset(initial), frozenset(finals))
+        self._set(alphabet, masks, _states(initial), _states(finals))
 
     def _set(self, alphabet, masks, initial, finals) -> None:
         _check_alphabet(alphabet)
@@ -133,7 +141,7 @@ class Nfa:
     def from_edges(cls, state_count: int, alphabet: str, edges, initial, finals) -> "Nfa":
         """Build from an iterable of ``(source, symbol, target)`` triples."""
         masks = _edge_masks(state_count, alphabet, edges)
-        return _new(cls, alphabet, masks, frozenset(initial), frozenset(finals))
+        return _new(cls, alphabet, masks, _states(initial), _states(finals))
 
     def accepts(self, word: str) -> bool:
         """Membership by direct subset simulation, independent of any DFA."""
@@ -169,7 +177,8 @@ class Dfa:
     def __init__(self, alphabet: str, transitions, initial: int, finals, minimal=False) -> None:
         if any(len(row) != len(alphabet) for row in transitions):
             raise ValueError("DFA must be complete: one successor per symbol")
-        self._set(alphabet, tuple(zip(*transitions)), initial, frozenset(finals), minimal)
+        _states(chain([initial], *transitions))
+        self._set(alphabet, tuple(zip(*transitions)), initial, _states(finals), minimal)
         if minimal:
             cols, _, _, count = _refine(self)
             if count < self.state_count:

@@ -60,6 +60,14 @@ def _check_carried(alphabet: str, where: str) -> None:
         )
 
 
+def _check_word(word: str, alphabet: str, where: str) -> None:
+    """Refuse a word with characters outside the alphabet; ``where`` prefixes the message."""
+    stray = sorted(set(word) - set(alphabet))
+    if stray:
+        msg = "%sword %r uses characters %s not in alphabet %r"
+        raise WordSetFileError(msg % (where, word, ",".join(stray), alphabet))
+
+
 def parse_word_set_file(text: str, source: str = "<input>") -> tuple[str, list[str]]:
     """Parse a word-set file into ``(alphabet, words)``.
 
@@ -86,12 +94,7 @@ def parse_word_set_file(text: str, source: str = "<input>") -> tuple[str, list[s
                 )
             _check_carried(alphabet, "%s:%d" % (source, lineno))
             continue
-        stray = sorted(set(line) - set(alphabet))
-        if stray:
-            raise WordSetFileError(
-                "%s:%d: word %r uses characters %s not in alphabet %r"
-                % (source, lineno, line, ",".join(stray), alphabet)
-            )
+        _check_word(line, alphabet, "%s:%d: " % (source, lineno))
         words.append(line)
     if alphabet is None:
         raise WordSetFileError("%s: missing 'alphabet:' header" % source)
@@ -220,7 +223,7 @@ def cmd_gen(args) -> int:
 # looked up per call, so that a wrapper installed there sees it.  Verify flags
 # default to None and only the given ones are passed, so each default lives
 # once, in the suite's signature.  A flag the suite does not read is bad input,
-# except ``--seed``, the replay key every suite accepts.  ``--shallow`` sets ``deep``.
+# except ``--seed``, the replay key every suite accepts.
 SUITES = {
     name[6:].replace("_", "-"): (name, tuple(inspect.signature(func).parameters))
     for name, func in vars(verify_mod).items()
@@ -234,8 +237,7 @@ def cmd_verify(args) -> int:
     given = {k: v for k, v in vars(args).items() if v is not None and k not in skip}
     stray = sorted(given.keys() - set(reads) - {"seed"})
     if stray:
-        flag = "--shallow" if stray[0] == "deep" else "--" + stray[0].replace("_", "-")
-        raise ValueError("verify %s does not read %s" % (args.suite, flag))
+        raise ValueError("verify %s does not read --%s" % (args.suite, stray[0].replace("_", "-")))
     if given.get("count", 1) < 1:
         raise ValueError("--count must be a positive integer, got %d" % given["count"])
     if "alphabet" in given:  # every instance checked can be generated and measured
@@ -267,12 +269,7 @@ def cmd_oracle(args) -> int:
     alphabet, file_words = parse_word_set_file(_read_input(args.file), args.file)
     s = WordSet.of(alphabet, file_words)
     for word in args.words:  # all checked before the first answer
-        stray = sorted(set(word) - set(alphabet))
-        if stray:
-            raise ValueError(
-                "word %r uses characters %s not in alphabet %r"
-                % (word, ",".join(stray), alphabet)
-            )
+        _check_word(word, alphabet, "")
     for word in args.words:
         inside = member_chain(file_words, word) if args.chain else member_star(s, word)
         print("%s\t%s" % (word, "true" if inside else "false"))
@@ -340,11 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--n", type=int, help="tmn: long length")
     v.add_argument("--alphabet", help="tmn: alphabet")
     v.add_argument(
-        "--shallow",
-        dest="deep",
-        action="store_const",
-        const=False,
-        help="bounds: skip the per-length language concordance",
+        "--shallow", action="store_const", const=True, help="bounds: skip the per-length language concordance"
     )
     v.set_defaults(func=cmd_verify)
 

@@ -39,7 +39,7 @@ class PreconditionViolated(ValueError):
 
 
 class BudgetExceeded(RuntimeError):
-    """An exhaustive check would enumerate more words than allowed."""
+    """An enumeration would pass ``DEFAULT_ENUM_BUDGET`` words, symbols or pairs."""
 
 
 @dataclass(frozen=True)
@@ -503,9 +503,9 @@ def measure_all(
 DEFAULT_ENUM_BUDGET = 2**20
 
 
-def _check_budget(count: int, what: str, *args, budget: int = DEFAULT_ENUM_BUDGET) -> None:
+def _check_budget(count: int, what: str, *args) -> None:
     """``BudgetExceeded``, saying ``what % (count, *args)``, when ``count`` is over the budget."""
-    if count > budget:
+    if count > DEFAULT_ENUM_BUDGET:
         raise BudgetExceeded(what % (count, *args))
 
 

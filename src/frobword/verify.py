@@ -166,8 +166,10 @@ def suite_unary(count: int = 50, seed: int = DEFAULT_SEED) -> SuiteReport:
     ``PreconditionViolated``.  The tuples are drawn first, then sized by
     ``_halves``.
     """
-    tuples = (tup for k in range(1, 5) for tup in itertools.combinations(range(1, 21), k))
-    pool = sum(tup[0] // gcd(*tup) != 1 for tup in tuples)
+    def drawn(tup: tuple[int, ...]) -> bool:  # no quotient is 1
+        return tup[0] // gcd(*tup) != 1
+
+    pool = sum(drawn(tup) for k in range(1, 5) for tup in itertools.combinations(range(1, 21), k))
     if count > pool:
         msg = "--count must be at most %d, the number of length tuples, got %d"
         raise PreconditionViolated(msg % (pool, count))
@@ -177,7 +179,7 @@ def suite_unary(count: int = 50, seed: int = DEFAULT_SEED) -> SuiteReport:
     while len(seen) < count:
         k = rng.randint(1, 4)
         tup = tuple(sorted({rng.randint(1, 20) for _ in range(k)}))
-        if tup[0] // gcd(*tup) != 1:
+        if drawn(tup):
             seen[tup] = None
 
     def size(tup: tuple[int, ...]) -> int:
@@ -238,20 +240,20 @@ def suite_pairs(max_len: int = 6, agreement_total: int = 14) -> SuiteReport:
     non-commuting pairs with ``|w| + |x|`` up to ``agreement_total``.
     ``max_len`` below 2 (no pair up to length 1 attains the star bound) or
     ``agreement_total`` below 2 (no pair at all) raise ``PreconditionViolated``;
-    more than ``DEFAULT_ENUM_BUDGET`` pair automata or agreement checks
-    raise ``BudgetExceeded`` before any word is built.  Swapping 0 and 1
-    keeps every size, so one task per orbit under the swap is sized (the
-    least of a concat pair and its image; of a star pair and its image, each
-    sorted) and its size given to the orbit.  These, in first-seen order,
-    then the agreement checks grouped by ``(|w| + |x|, |w|)``, are split by
-    ``_halves``.
+    more than ``DEFAULT_ENUM_BUDGET`` pairs for the size laws or for the
+    agreement bound raise ``BudgetExceeded`` before any word is built.
+    Swapping 0 and 1 keeps every size, so one task per orbit under the
+    swap is sized (the least of a concat pair and its image; of a star pair
+    and its image, each sorted) and its size given to the orbit.  These, in
+    first-seen order, then the agreement checks grouped by
+    ``(|w| + |x|, |w|)``, are split by ``_halves``.
     """
     if max_len < 2:
         raise PreconditionViolated("max_len must be at least 2, got %d" % max_len)
     if agreement_total < 2:
         raise PreconditionViolated("agreement_total must be at least 2, got %d" % agreement_total)
     k = 2 ** (max_len + 1) - 2  # the words; unordered star pairs, then ordered chain pairs
-    _check_budget(k * (k + 1) // 2 + k * k, "pair laws would build %d automata up to length %d", max_len)
+    _check_budget(k * (k + 1) // 2 + k * k, "pair laws would check %d pairs up to length %d", max_len)
     checks = (agreement_total - 2) * 2 ** (agreement_total + 1) + 4  # sum of (t - 1) 2**t over t
     _check_budget(checks, "agreement bound would check %d pairs up to combined length %d", agreement_total)
     report = SuiteReport("pairs")
@@ -470,14 +472,14 @@ def _first_difference(d: Dfa, levels) -> str | None:
     return None
 
 
-def suite_bounds(count: int = 200, seed: int = DEFAULT_SEED, deep: bool = True) -> SuiteReport:
+def suite_bounds(count: int = 200, seed: int = DEFAULT_SEED, shallow: bool = False) -> SuiteReport:
     """Corpus-wide structural laws.
 
     Over random word sets plus hand-picked extras: the window construction
     agrees with the determinized trie; its reachable size obeys the closed
     bound; minimal DFA sizes obey the subset bound (and the sharper one for
     prefix-free sets); co-finite closures omit fewer than bound-many words
-    and their longest omission is shorter than the bound.  With ``deep``,
+    and their longest omission is shorter than the bound.  Unless ``shallow``,
     the minimal DFAs of the star and of a shuffled chain of stars match the
     languages generated from the definitions, compared per length up to 12
     (binary) and 8 (ternary); a mismatch names the least differing word.
@@ -491,7 +493,7 @@ def suite_bounds(count: int = 200, seed: int = DEFAULT_SEED, deep: bool = True) 
     report = SuiteReport("bounds")
     corpus = random_word_sets(count, seed) + crafted_word_sets()
     rng = random.Random(seed + 1)
-    deep_len = {"01": 12, "012": 8} if deep else {}
+    deep_len = {} if shallow else {"01": 12, "012": 8}
     orders = [list(s.words) for s in corpus]  # a deep set's is shuffled, in corpus order
     for s, order in zip(corpus, orders):
         if s.alphabet in deep_len:
@@ -550,7 +552,7 @@ def suite_bounds(count: int = 200, seed: int = DEFAULT_SEED, deep: bool = True) 
     report.tally("longest omitted bound, %d co-finite sets" % n, "over", bad["longest omitted"])
     report.tally("omitted count bound", "over", bad["omitted count"])
     report.tally("extension condition on co-finite sets", "failures", bad["extension condition"])
-    if deep:
+    if not shallow:
         for kind in ("star", "chain"):
             report.tally("%s membership concordance" % kind, "mismatches", bad[kind + " oracle"])
     return report

@@ -43,8 +43,7 @@ def common_root(w: str, x: str) -> str | None:
     rotations form a group, so the least one divides ``len(w)``, and ``w``
     is a power of ``w[:p]`` and of no shorter word.
     """
-    _require_nonempty(w, x)
-    if w + x != x + w:
+    if not commutes(w, x):
         return None
     return w[: (w + w).find(w, 1)]
 
@@ -103,8 +102,8 @@ def prefix_suffix_condition(words: Iterable[str]) -> bool:
     return True
 
 
-def _commuting_pair_sc(w: str, x: str) -> int:
-    """Minimal DFA size for the star of a commuting pair.
+def _commuting_pair_sc(w: str, x: str) -> tuple[int, str] | None:
+    """Minimal DFA size for the star of a commuting pair, tagged ``EXACT``, else None.
 
     Both words are powers of a common root; write the pair of exponents
     over their gcd as (p, q).  When one of p, q is 1 the closure collapses
@@ -113,11 +112,13 @@ def _commuting_pair_sc(w: str, x: str) -> int:
     states, a cycle of d states and the sink are needed and sufficient.
     Assumes an ambient alphabet with at least two letters.
     """
+    if not commutes(w, x):
+        return None
     d = gcd(len(w), len(x))
     p, q = len(w) // d, len(x) // d
     if min(p, q) == 1:
-        return d + 1
-    return d * (frobenius_g([p, q]) + 1) + 2
+        return d + 1, EXACT
+    return d * (frobenius_g([p, q]) + 1) + 2, EXACT
 
 
 def predicted_pair_star_sc(w: str, x: str) -> tuple[int, str]:
@@ -127,10 +128,7 @@ def predicted_pair_star_sc(w: str, x: str) -> tuple[int, str]:
     upper bound ``len(w) + len(x)``, tagged so callers know which kind of
     claim they hold.
     """
-    _require_nonempty(w, x)
-    if commutes(w, x):
-        return _commuting_pair_sc(w, x), EXACT
-    return len(w) + len(x), UPPER_BOUND
+    return _commuting_pair_sc(w, x) or (len(w) + len(x), UPPER_BOUND)
 
 
 def predicted_pair_concat_sc(w: str, x: str) -> tuple[int, str]:
@@ -140,7 +138,4 @@ def predicted_pair_concat_sc(w: str, x: str) -> tuple[int, str]:
     same exact value applies; otherwise the upper bound is
     ``len(w) + 2 * len(x)``.
     """
-    _require_nonempty(w, x)
-    if commutes(w, x):
-        return _commuting_pair_sc(w, x), EXACT
-    return len(w) + 2 * len(x), UPPER_BOUND
+    return _commuting_pair_sc(w, x) or (len(w) + 2 * len(x), UPPER_BOUND)

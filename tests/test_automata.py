@@ -84,6 +84,10 @@ NONE = frozenset()
         ("01", ((0, 0),), 0, frozenset({-1})),
         ("00", ((0, 0),), 0, NONE),  # a repeated letter
         ("", ((),), 0, NONE),  # no letter
+        ("01", ((0, 0.5),), 0, NONE),  # states that are not integers
+        ("01", ((0, 0),), 0.0, NONE),
+        ("01", ((0, 0),), 0, frozenset({0.5})),
+        ("01", ((0, "x"),), 0, NONE),
     ],
 )
 def test_dfa_constructor_rejects_malformed_tables(alphabet, rows, initial, finals):
@@ -107,6 +111,8 @@ ONE = frozenset({0})
         ("01", ((NONE, NONE),), ONE, frozenset({1})),  # a final state
         ("01", ((NONE, NONE),), ONE, frozenset({-1})),
         ("00", ((NONE, NONE),), ONE, NONE),
+        ("01", ((ONE, ONE),), frozenset({0.5}), ONE),  # states that are not integers
+        ("01", ((frozenset({"a"}), NONE),), ONE, ONE),
     ],
 )
 def test_nfa_constructor_rejects_malformed_tables(alphabet, rows, initial, finals):
@@ -114,10 +120,18 @@ def test_nfa_constructor_rejects_malformed_tables(alphabet, rows, initial, final
         Nfa(alphabet, rows, initial, finals)
 
 
-@pytest.mark.parametrize("edge", [(-1, "0", 0), (2, "0", 0), (0, "2", 0), (0, "0", 2), (0, "0", -1)])
+@pytest.mark.parametrize(
+    "edge", [(-1, "0", 0), (2, "0", 0), (0, "2", 0), (0, "0", 2), (0, "0", -1), (0, "0", 0.5), ("a", "0", 0)]
+)
 def test_from_edges_names_an_edge_outside_the_automaton(edge):
     with pytest.raises(ValueError, match=re.escape(repr(edge))):
         Nfa.from_edges(2, "01", [(0, "1", 1), edge], {0}, {0})
+
+
+@pytest.mark.parametrize("initial, finals", [({0.5}, {0}), ({0}, {"0"})])
+def test_from_edges_refuses_states_that_are_not_integers(initial, finals):
+    with pytest.raises(ValueError, match="states must be a collection of integers"):
+        Nfa.from_edges(1, "01", [(0, "0", 0)], initial, finals)
 
 
 def test_accepts_refuses_symbols_outside_the_alphabet():

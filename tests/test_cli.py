@@ -466,7 +466,7 @@ def test_verify_looks_the_suite_up_on_verify_per_call(capsys, monkeypatch):
 
     monkeypatch.setattr(verify, "suite_bounds", fake)
     code, out, _ = run(capsys, "verify", "bounds", "--count", "1", "--shallow")
-    assert calls == [{"count": 1, "deep": False}]
+    assert calls == [{"count": 1, "shallow": True}]
     assert (code, out) == (EXIT_OK, "instance\tpredicted\tactual\tstatus\n")
 
 
@@ -729,15 +729,28 @@ def test_verify_tmn_decision_row_on_the_window_acceptor(capsys):
         assert [row[3] for row in rows] == ["ok"] * checks
 
 
+def test_verify_cap_event_exits_cap_after_the_table(capsys):
+    # seed pumping at (6,7) would check 32**4 + 32**3 + 32**2 + 32 + 1 words;
+    # the suite writes its hit as a failed row and goes on to the summary
+    code, out, err = run(capsys, "verify", "tmn", "--m", "6", "--n", "7")
+    assert out.splitlines()[-1].split("\t") == [
+        "seed pumping, 1082401 words",
+        "all outside the closure",
+        "budget exceeded: seed pumping would check 1082401 words",
+        "FAIL",
+    ]
+    assert (code, err) == (EXIT_CAP, "# suite tmn: 8 checks, 1 failures, 1 cap events\n")
+
+
 # the counts come from the closed forms: 1 + t(t+1) symbols in the star family,
-# (t+1)(t-2)/2 + 2t repeats of that in the chain family, n(n+1)/2 + n**2 pair
-# automata over the n = 2**(L+1) - 2 words, and (T-2) 2**(T+1) + 4 agreement pairs
+# (t+1)(t-2)/2 + 2t repeats of that in the chain family, n(n+1)/2 + n**2 pairs
+# of the n = 2**(L+1) - 2 words, and (T-2) 2**(T+1) + 4 agreement pairs
 @pytest.mark.parametrize(
     "argv, message",
     [
         (["gen", "st", "--t", "5000"], "star blowup family would write 25005001 symbols at t = 5000"),
         (["gen", "chain", "--t", "100"], "chain blowup family would write 52010049 symbols at t = 100"),
-        (["verify", "pairs", "--max-len", "12"], "pair laws would build 100618245 automata up to length 12"),
+        (["verify", "pairs", "--max-len", "12"], "pair laws would check 100618245 pairs up to length 12"),
         (
             ["verify", "pairs", "--agreement-total", "30"],
             "agreement bound would check 60129542148 pairs up to combined length 30",

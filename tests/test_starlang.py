@@ -499,6 +499,35 @@ def test_every_private_helper_has_a_caller():
     assert sorted("%s.%s" % (m, n) for m, n in defined if n not in loaded) == []
 
 
+def test_every_private_default_is_passed_by_a_call():
+    # a defaulted parameter of a module-level private function is given by
+    # some call in the package, by keyword or by position (a starred argument
+    # may give any): one that no call gives is a knob no caller sets
+    defaults, calls = [], []
+    for path in sorted(Path(starlang.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            if isinstance(top, ast.FunctionDef) and top.name.startswith("_") and not top.name.startswith("__"):
+                spec = top.args
+                plain = spec.posonlyargs + spec.args
+                first = len(plain) - len(spec.defaults)
+                defaults += [(path.stem, top.name, x.arg, i) for i, x in enumerate(plain) if i >= first]
+                defaults += [(path.stem, top.name, x.arg, None) for x, d in zip(spec.kwonlyargs, spec.kw_defaults) if d]
+        calls += [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+
+    def passed(name, arg, index):
+        for call in calls:
+            if getattr(call.func, "id", getattr(call.func, "attr", None)) != name:
+                continue
+            if any(k.arg in (arg, None) for k in call.keywords):
+                return True
+            if index is not None and (len(call.args) > index or any(isinstance(x, ast.Starred) for x in call.args)):
+                return True
+        return False
+
+    assert ["%s.%s.%s" % (m, f, arg) for m, f, arg, i in defaults if not passed(f, arg, i)] == []
+
+
 def test_every_imported_name_is_loaded():
     # a name a module of the package imports is read in that module;
     # __init__.py imports to re-export, and __future__ binds nothing

@@ -145,7 +145,7 @@ def test_suite_chain_cofinite_small():
 
 
 def test_suite_bounds_small():
-    r = suite_bounds(count=25, seed=3, deep=False)
+    r = suite_bounds(count=25, seed=3, shallow=True)
     assert r.passed
     names = " ".join(row.instance for row in r.rows)
     assert "window vs trie" in names
@@ -213,7 +213,7 @@ def test_suite_pairs_reports_planted_faults(monkeypatch):
     assert [(row.instance, row.predicted, row.actual, row.ok) for row in r.rows] == FAULTY_PAIRS_ROWS
 
 
-# the rows suite_bounds(count=6, seed=5, deep=False) gives with every law's
+# the rows suite_bounds(count=6, seed=5, shallow=True) gives with every law's
 # check planted to fail: no window state bound, no equivalence, no extension
 # condition, and minimize left out (so the subset bounds see window DFAs)
 FAULTY_BOUNDS_ROWS = [
@@ -302,7 +302,7 @@ def test_suite_bounds_reports_a_row_for_every_law(monkeypatch):
     monkeypatch.setattr(verify, "equivalent", lambda a, b: False)
     monkeypatch.setattr(verify, "prefix_suffix_condition", lambda words: False)
     monkeypatch.setattr(verify, "minimize", lambda d: d)
-    r = suite_bounds(count=6, seed=5, deep=False)
+    r = suite_bounds(count=6, seed=5, shallow=True)
     assert [(row.instance, row.predicted, row.actual, row.ok) for row in r.rows] == FAULTY_BOUNDS_ROWS
 
 

@@ -34,7 +34,17 @@ class NotFinite(ValueError):
 
 def _check_alphabet(alphabet: str) -> None:
     if len(set(alphabet)) != len(alphabet) or not alphabet:
-        raise ValueError("alphabet must be a nonempty string of distinct characters")
+        raise ValueError("alphabet %r must be a nonempty string of distinct characters" % alphabet)
+
+
+def _check_words(words, alphabet: str) -> None:
+    """The alphabet rule, then the word rule: a word with characters outside the alphabet names them."""
+    _check_alphabet(alphabet)
+    letters = set(alphabet)
+    for w in words:
+        if not letters.issuperset(w):
+            stray = ",".join(sorted(set(w) - letters))
+            raise ValueError("word %r uses characters %s not in alphabet %r" % (w, stray, alphabet))
 
 
 def _check_range(values, n: int, what: str) -> None:
@@ -51,22 +61,31 @@ def _states(values) -> frozenset[int]:
         raise ValueError("states must be a collection of integers: %s" % exc) from None
 
 
-def _symbols(alphabet: str, word: str) -> list[int]:
-    sym = {c: i for i, c in enumerate(alphabet)}
+def _rows(table, alphabet: str, message: str) -> list[tuple]:
+    """The table's rows as tuples, each one entry per symbol, or ``ValueError(message)``."""
     try:
-        return [sym[c] for c in word]
-    except KeyError as exc:
-        raise ValueError("symbol %r is not in the alphabet %r" % (exc.args[0], alphabet)) from None
+        rows = list(map(tuple, table))
+        if all(len(row) == len(alphabet) for row in rows):
+            return rows
+    except TypeError:
+        pass
+    raise ValueError(message)
 
 
 def _edge_masks(n: int, alphabet: str, edges) -> tuple[tuple[int, ...], ...]:
     """Successor bitmasks of ``(source, symbol, target)`` edges; an edge
     outside the ``n`` states or the alphabet is a ``ValueError`` naming it."""
+    if not isinstance(n, int):
+        raise ValueError("state count %r is not an integer" % (n,))
     sym = {c: i for i, c in enumerate(alphabet)}
     rows = [[0] * len(alphabet) for _ in range(n)]
     for edge in edges:
-        s, c, t = edge
-        if not (isinstance(s, int) and isinstance(t, int) and 0 <= s < n and 0 <= t < n and c in sym):
+        try:
+            s, c, t = edge
+            ok = isinstance(s, int) and isinstance(t, int) and 0 <= s < n and 0 <= t < n and c in sym
+        except (TypeError, ValueError):  # not a triple, or an unhashable symbol
+            ok = False
+        if not ok:
             raise ValueError("edge %r is outside %d states over %r" % (edge, n, alphabet))
         rows[s][sym[c]] |= 1 << t
     return tuple(map(tuple, rows))
@@ -107,13 +126,9 @@ class Nfa:
     finals: frozenset[int]
 
     def __init__(self, alphabet: str, transitions, initial, finals) -> None:
-        if any(len(row) != len(alphabet) for row in transitions):
-            raise ValueError("every state needs a successor set per symbol")
-        edges = [
-            (s, c, t) for s, row in enumerate(transitions) for c, ts in zip(alphabet, row) for t in ts
-        ]
-        masks = _edge_masks(len(transitions), alphabet, edges)
-        self._set(alphabet, masks, _states(initial), _states(finals))
+        rows = _rows(transitions, alphabet, "every state needs a successor set per symbol")
+        edges = [(s, c, t) for s, row in enumerate(rows) for c, ts in zip(alphabet, row) for t in _states(ts)]
+        self._set(alphabet, _edge_masks(len(rows), alphabet, edges), _states(initial), _states(finals))
 
     def _set(self, alphabet, masks, initial, finals) -> None:
         _check_alphabet(alphabet)
@@ -145,8 +160,9 @@ class Nfa:
 
     def accepts(self, word: str) -> bool:
         """Membership by direct subset simulation, independent of any DFA."""
+        _check_words((word,), self.alphabet)
         current = set(self.initial)
-        for i in _symbols(self.alphabet, word):
+        for i in map(self.alphabet.index, word):
             current = {t for s in current for t in self.transitions[s][i]}
         return bool(current & self.finals)
 
@@ -175,10 +191,9 @@ class Dfa:
     numbered: bool = field(default=False, compare=False, repr=False)
 
     def __init__(self, alphabet: str, transitions, initial: int, finals, minimal=False) -> None:
-        if any(len(row) != len(alphabet) for row in transitions):
-            raise ValueError("DFA must be complete: one successor per symbol")
-        _states(chain([initial], *transitions))
-        self._set(alphabet, tuple(zip(*transitions)), initial, _states(finals), minimal)
+        rows = _rows(transitions, alphabet, "DFA must be complete: one successor per symbol")
+        _states(chain([initial], *rows))
+        self._set(alphabet, tuple(zip(*rows)), initial, _states(finals), minimal)
         if minimal:
             cols, _, _, count = _refine(self)
             if count < self.state_count:
@@ -210,8 +225,9 @@ class Dfa:
         return tuple(zip(*self.cols))
 
     def accepts(self, word: str) -> bool:
+        _check_words((word,), self.alphabet)
         s = self.initial
-        for i in _symbols(self.alphabet, word):
+        for i in map(self.alphabet.index, word):
             s = self.cols[i][s]
         return s in self.finals
 

@@ -29,7 +29,7 @@ import json
 import sys
 import time
 
-from frobword.automata import DEFAULT_STATE_CAP, CapExceeded, to_dot
+from frobword.automata import DEFAULT_STATE_CAP, CapExceeded, _check_alphabet, _check_words, to_dot
 from frobword.families import (
     chain_blowup_family,
     star_blowup_family,
@@ -45,27 +45,25 @@ EXIT_BAD_INPUT = 3
 
 
 class WordSetFileError(ValueError):
-    """Raised on malformed word-set files; the message carries the source
-    name and line number."""
+    """Bad input prefixed with where it came in: a word-set file's source and line, or an option."""
 
 
-def _check_carried(alphabet: str, where: str) -> None:
-    """Refuse, where it comes in, an alphabet the word-set format cannot
+def _check_carried(alphabet: str) -> None:
+    """The alphabet rule, then refuse an alphabet the word-set format cannot
     carry: the text is ASCII, lines are stripped, ``#`` lines are comments."""
-    bad = sorted({c for c in alphabet if not c.isascii() or c == "#" or c.isspace()})
+    _check_alphabet(alphabet)
+    bad = ",".join(map(repr, sorted(c for c in alphabet if not c.isascii() or c == "#" or c.isspace())))
     if bad:
-        raise WordSetFileError(
-            "%s: alphabet %r has %s; a word-set file carries only ASCII without '#' or whitespace"
-            % (where, alphabet, ",".join(map(repr, bad)))
-        )
+        msg = "alphabet %r has %s; a word-set file carries only ASCII without '#' or whitespace"
+        raise ValueError(msg % (alphabet, bad))
 
 
-def _check_word(word: str, alphabet: str, where: str) -> None:
-    """Refuse a word with characters outside the alphabet; ``where`` prefixes the message."""
-    stray = sorted(set(word) - set(alphabet))
-    if stray:
-        msg = "%sword %r uses characters %s not in alphabet %r"
-        raise WordSetFileError(msg % (where, word, ",".join(stray), alphabet))
+def _at(where: str, check, *args) -> None:
+    """``check(*args)``, its ``ValueError`` raised again after ``<where>: ``."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        raise WordSetFileError("%s: %s" % (where, exc)) from None
 
 
 def parse_word_set_file(text: str, source: str = "<input>") -> tuple[str, list[str]]:
@@ -79,22 +77,14 @@ def parse_word_set_file(text: str, source: str = "<input>") -> tuple[str, list[s
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        where = "%s:%d" % (source, lineno)
         if alphabet is None:
             if not line.startswith("alphabet:"):
-                raise WordSetFileError(
-                    "%s:%d: expected header 'alphabet: <chars>', got %r"
-                    % (source, lineno, line)
-                )
+                raise WordSetFileError("%s: expected header 'alphabet: <chars>', got %r" % (where, line))
             alphabet = line[len("alphabet:") :].strip()
-            if not alphabet:
-                raise WordSetFileError("%s:%d: empty alphabet" % (source, lineno))
-            if len(set(alphabet)) != len(alphabet):
-                raise WordSetFileError(
-                    "%s:%d: repeated character in alphabet %r" % (source, lineno, alphabet)
-                )
-            _check_carried(alphabet, "%s:%d" % (source, lineno))
+            _at(where, _check_carried, alphabet)
             continue
-        _check_word(line, alphabet, "%s:%d: " % (source, lineno))
+        _at(where, _check_words, [line], alphabet)
         words.append(line)
     if alphabet is None:
         raise WordSetFileError("%s: missing 'alphabet:' header" % source)
@@ -208,7 +198,7 @@ def cmd_gen(args) -> int:
     elif args.family == "chain":  # the st words repeated, duplicates kept
         alphabet, words = "01", chain_blowup_family(args.t)[0]
     else:  # refused before the family is built, as ``verify tmn`` refuses it
-        _check_carried(args.alphabet, "--alphabet")
+        _at("--alphabet", _check_carried, args.alphabet)
         alphabet, words = args.alphabet, two_length_family(args.m, args.n, args.alphabet).words.words
     sys.stdout.write(format_word_set_file(alphabet, words))
     return EXIT_OK
@@ -241,7 +231,7 @@ def cmd_verify(args) -> int:
     if given.get("count", 1) < 1:
         raise ValueError("--count must be a positive integer, got %d" % given["count"])
     if "alphabet" in given:  # every instance checked can be generated and measured
-        _check_carried(given["alphabet"], "--alphabet")
+        _at("--alphabet", _check_carried, given["alphabet"])
     report = getattr(verify_mod, name)(**{k: v for k, v in given.items() if k in reads})
 
     print("instance\tpredicted\tactual\tstatus")
@@ -268,8 +258,7 @@ def cmd_verify(args) -> int:
 def cmd_oracle(args) -> int:
     alphabet, file_words = parse_word_set_file(_read_input(args.file), args.file)
     s = WordSet.of(alphabet, file_words)
-    for word in args.words:  # all checked before the first answer
-        _check_word(word, alphabet, "")
+    _check_words(args.words, alphabet)  # all checked before the first answer
     for word in args.words:
         inside = member_chain(file_words, word) if args.chain else member_star(s, word)
         print("%s\t%s" % (word, "true" if inside else "false"))

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
+from frobword.automata import _check_alphabet
 from frobword.numeric import frobenius_g, representable
 from frobword.starlang import PreconditionViolated, WordSet, _check_budget, _check_two_lengths
 
@@ -142,8 +143,9 @@ def two_length_family(short_len: int, long_len: int, alphabet: str = "01") -> Tw
     """
     m, n = short_len, long_len
     _check_two_lengths(m, n)
-    if len(set(alphabet)) != len(alphabet) or len(alphabet) < 2:
-        raise PreconditionViolated("need an alphabet of at least two distinct letters")
+    _check_alphabet(alphabet)
+    if len(alphabet) < 2:
+        raise PreconditionViolated("need an alphabet of at least two letters")
     sigma = len(alphabet)
     _check_budget(sigma**n, "two-length family would enumerate %d words of length %d", n)
     width = n - m

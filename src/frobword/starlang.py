@@ -26,7 +26,7 @@ from frobword.automata import (
     CapExceeded,
     Dfa,
     Nfa,
-    _check_alphabet,
+    _check_words,
     _new,
     _omissions,
     determinize,
@@ -56,17 +56,13 @@ class WordSet:
     words: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        _check_alphabet(self.alphabet)
+        _check_words(self.words, self.alphabet)
         if not self.words:
             raise ValueError("at least one word is required")
-        letters = set(self.alphabet)
         if len(set(self.words)) != len(self.words):
             raise ValueError("words must be distinct")
-        for w in self.words:
-            if not w:
-                raise ValueError("words must be nonempty")
-            if not set(w) <= letters:
-                raise ValueError("word %r uses characters outside %r" % (w, self.alphabet))
+        if not all(self.words):
+            raise ValueError("words must be nonempty")
 
     @classmethod
     def of(cls, alphabet: str, words: Iterable[str]) -> "WordSet":
@@ -294,8 +290,7 @@ def chain_nfa(xs: Sequence[str], alphabet: str) -> Nfa:
     State count is the total length of the words.
     """
     _check_chain(xs)
-    if not set("".join(xs)) <= set(alphabet):
-        raise ValueError("chain words use characters outside %r" % alphabet)
+    _check_words(xs, alphabet)
     sym = {c: i for i, c in enumerate(alphabet)}
     anchors = [end - 1 for end in accumulate(map(len, xs))]
     masks = [[0] * len(alphabet) for _ in range(anchors[-1] + 1)]
@@ -316,6 +311,7 @@ def chain_cofinite(xs: Sequence[str], alphabet: str) -> bool:
     of blocks and misses infinitely many rearrangements.
     """
     _check_chain(xs)
+    _check_words(xs, alphabet)
     return len(alphabet) == 1 and gcd(*map(len, xs)) == 1
 
 

@@ -88,6 +88,8 @@ NONE = frozenset()
         ("01", ((0, 0),), 0.0, NONE),
         ("01", ((0, 0),), 0, frozenset({0.5})),
         ("01", ((0, "x"),), 0, NONE),
+        ("01", (5,), 0, NONE),  # a row that is not a sequence
+        ("01", 5, 0, NONE),  # a table that is not a collection
     ],
 )
 def test_dfa_constructor_rejects_malformed_tables(alphabet, rows, initial, finals):
@@ -113,6 +115,8 @@ ONE = frozenset({0})
         ("00", ((NONE, NONE),), ONE, NONE),
         ("01", ((ONE, ONE),), frozenset({0.5}), ONE),  # states that are not integers
         ("01", ((frozenset({"a"}), NONE),), ONE, ONE),
+        ("01", (5,), ONE, ONE),  # a row that is not a sequence
+        ("01", ((0, 1),), ONE, ONE),  # cells that are not sets
     ],
 )
 def test_nfa_constructor_rejects_malformed_tables(alphabet, rows, initial, finals):
@@ -121,11 +125,16 @@ def test_nfa_constructor_rejects_malformed_tables(alphabet, rows, initial, final
 
 
 @pytest.mark.parametrize(
-    "edge", [(-1, "0", 0), (2, "0", 0), (0, "2", 0), (0, "0", 2), (0, "0", -1), (0, "0", 0.5), ("a", "0", 0)]
+    "edge", [(-1, "0", 0), (2, "0", 0), (0, "2", 0), (0, "0", 2), (0, "0", -1), (0, "0", 0.5), ("a", "0", 0), 5]
 )
 def test_from_edges_names_an_edge_outside_the_automaton(edge):
     with pytest.raises(ValueError, match=re.escape(repr(edge))):
         Nfa.from_edges(2, "01", [(0, "1", 1), edge], {0}, {0})
+
+
+def test_from_edges_refuses_a_state_count_that_is_not_an_integer():
+    with pytest.raises(ValueError, match="^state count '1' is not an integer$"):
+        Nfa.from_edges("1", "01", [], {0}, {0})
 
 
 @pytest.mark.parametrize("initial, finals", [({0.5}, {0}), ({0}, {"0"})])
@@ -139,8 +148,9 @@ def test_accepts_refuses_symbols_outside_the_alphabet():
     for fa in (nfa, determinize(nfa)):
         assert fa.accepts("00") and not fa.accepts("1")
         for word in ("02", "12", "2"):
-            with pytest.raises(ValueError, match="'2'"):
+            with pytest.raises(ValueError) as caught:
                 fa.accepts(word)
+            assert str(caught.value) == "word %r uses characters 2 not in alphabet '01'" % word
 
 
 def test_determinize_agrees_with_nfa():

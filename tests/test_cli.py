@@ -56,14 +56,31 @@ def test_parse_errors_carry_line_numbers():
         parse_word_set_file("0\n", "f")
     with pytest.raises(WordSetFileError, match="f:3"):
         parse_word_set_file("# hi\nalphabet: 01\n02\n", "f")
-    with pytest.raises(WordSetFileError, match="empty alphabet"):
+    with pytest.raises(WordSetFileError, match="^f:1: alphabet '' must be a nonempty string of distinct"):
         parse_word_set_file("alphabet:\n0\n", "f")
-    with pytest.raises(WordSetFileError, match="repeated"):
+    with pytest.raises(WordSetFileError, match="^f:1: alphabet '00' must be a nonempty string of distinct"):
         parse_word_set_file("alphabet: 00\n0\n", "f")
     with pytest.raises(WordSetFileError, match="missing"):
         parse_word_set_file("# nothing\n", "f")
     with pytest.raises(WordSetFileError, match="no words"):
         parse_word_set_file("alphabet: 01\n", "f")
+
+
+@pytest.mark.parametrize(
+    "text, line, call",
+    [
+        ("# c\nalphabet: 00\n0\n", 2, lambda: WordSet.of("00", ["0"])),
+        ("alphabet: 01\n0\n\n02\n", 4, lambda: WordSet.of("01", ["02"])),
+    ],
+    ids=["header", "word"],
+)
+def test_a_bad_line_carries_the_library_message_after_its_source_and_line(tmp_path, capsys, text, line, call):
+    with pytest.raises(ValueError) as library:
+        call()
+    f = write_ws(tmp_path, "bad.ws", text)
+    code, out, err = run(capsys, "measure", f, "--no-timing")
+    assert (code, out) == (EXIT_BAD_INPUT, "")
+    assert err == "error: %s:%d: %s\n" % (f, line, library.value)
 
 
 @pytest.mark.parametrize("alphabet", ["#0", "0 1", "0\t1"])

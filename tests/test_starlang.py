@@ -3,6 +3,7 @@ chain of stars, and the combined measure report."""
 
 import ast
 import os
+import re
 import tracemalloc
 import warnings
 from dataclasses import fields, replace
@@ -480,6 +481,30 @@ def test_one_function_forks_pipes_and_reaps():
     assert callers == {"starlang._beside"}
 
 
+def test_each_input_rule_is_spelled_in_one_function():
+    # the word rule and the alphabet rule, in this wording or an earlier one,
+    # each appear in one function: a second spelling of either fails here
+    spellings = {
+        r"characters .*(outside|not in)|not in (the )?alphabet": {"automata._check_words"},
+        r"distinct (characters|letters)|repeated character|empty alphabet": {"automata._check_alphabet"},
+    }
+    strings = []  # (innermost enclosing definition, string), docstrings aside
+
+    def collect(node, name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Expr) and isinstance(child.value, ast.Constant):
+                continue
+            if isinstance(child, ast.Constant) and isinstance(child.value, str):
+                strings.append((name, child.value))
+            inner = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            collect(child, "%s.%s" % (name, child.name) if inner else name)
+
+    for path in sorted(Path(starlang.__file__).parent.glob("*.py")):
+        collect(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    for pattern, where in spellings.items():
+        assert {name for name, text in strings if re.search(pattern, text)} == where
+
+
 def test_every_private_helper_has_a_caller():
     # a module-level private name is loaded by package code outside its own
     # definition: a docstring, an import or a test alone keeps nothing alive
@@ -798,6 +823,20 @@ TWO_LENGTH_CALLS = (
 )
 ORDER = "lengths must satisfy 0 < short < long < 2*short"
 STAR_BLOWUP_CALLS = (star_blowup_family, star_blowup_sc, star_blowup_sc_floor)
+WORD_CALLS = (
+    lambda w: WordSet.of("01", [w]),
+    lambda w: chain_nfa([w], "01"),
+    lambda w: chain_cofinite([w], "01"),
+    lambda w: minimal_star_dfa(WordSet.of("01", ["0"])).accepts(w),
+    lambda w: trie_star_nfa(WordSet.of("01", ["0"])).accepts(w),
+)
+ALPHABET_CALLS = (
+    lambda a: WordSet.of(a, ["0"]),
+    lambda a: Dfa(a, [[0, 0]], 0, []),
+    lambda a: chain_nfa(["0"], a),
+    lambda a: chain_cofinite(["0"], a),
+    lambda a: two_length_family(2, 3, a),
+)
 FROBENIUS_CALLS = (frobenius_g, frobenius_f)
 
 
@@ -811,6 +850,8 @@ FROBENIUS_CALLS = (frobenius_g, frobenius_f)
         (TWO_LENGTH_CALLS, (4, 6), PreconditionViolated, "the two lengths must be coprime"),
         (STAR_BLOWUP_CALLS, 1, PreconditionViolated, "the family needs t >= 2"),
         (FROBENIUS_CALLS, [4, 6], GcdNotOne, "step sizes [4, 6] have gcd 2"),
+        (WORD_CALLS, "02", ValueError, "word '02' uses characters 2 not in alphabet '01'"),
+        (ALPHABET_CALLS, "00", ValueError, "alphabet '00' must be a nonempty string of distinct characters"),
     ],
 )
 def test_each_input_rule_raises_the_same_error_everywhere(calls, arg, error, message):
@@ -824,7 +865,7 @@ def test_each_input_rule_raises_the_same_error_everywhere(calls, arg, error, mes
     "call, error, message",
     [
         (lambda: WordSet.of("01", []), ValueError, "at least one word is required"),
-        (lambda: chain_nfa(["2"], "01"), ValueError, "chain words use characters outside '01'"),
+        (lambda: chain_nfa(["2"], "01"), ValueError, "word '2' uses characters 2 not in alphabet '01'"),
         (
             lambda: two_length_cofinite(WordSet.of("01", ["0", "000", "00000"]), 3, 5),
             PreconditionViolated,

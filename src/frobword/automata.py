@@ -33,15 +33,18 @@ class NotFinite(ValueError):
 
 
 def _check_alphabet(alphabet: str) -> None:
-    if len(set(alphabet)) != len(alphabet) or not alphabet:
-        raise ValueError("alphabet %r must be a nonempty string of distinct characters" % alphabet)
+    if not isinstance(alphabet, str) or len(set(alphabet)) != len(alphabet) or not alphabet:
+        raise ValueError("alphabet %r must be a nonempty string of distinct characters" % (alphabet,))
 
 
 def _check_words(words, alphabet: str) -> None:
-    """The alphabet rule, then the word rule: a word with characters outside the alphabet names them."""
+    """The alphabet rule, then the word rule: a word that is not a string, or
+    has characters outside the alphabet, is refused, naming them."""
     _check_alphabet(alphabet)
     letters = set(alphabet)
     for w in words:
+        if not isinstance(w, str):
+            raise ValueError("word %r is not a string" % (w,))
         if not letters.issuperset(w):
             stray = ",".join(sorted(set(w) - letters))
             raise ValueError("word %r uses characters %s not in alphabet %r" % (w, stray, alphabet))
@@ -126,6 +129,7 @@ class Nfa:
     finals: frozenset[int]
 
     def __init__(self, alphabet: str, transitions, initial, finals) -> None:
+        _check_alphabet(alphabet)  # before the table is measured against it
         rows = _rows(transitions, alphabet, "every state needs a successor set per symbol")
         edges = [(s, c, t) for s, row in enumerate(rows) for c, ts in zip(alphabet, row) for t in _states(ts)]
         self._set(alphabet, _edge_masks(len(rows), alphabet, edges), _states(initial), _states(finals))
@@ -191,6 +195,7 @@ class Dfa:
     numbered: bool = field(default=False, compare=False, repr=False)
 
     def __init__(self, alphabet: str, transitions, initial: int, finals, minimal=False) -> None:
+        _check_alphabet(alphabet)  # before the table is measured against it
         rows = _rows(transitions, alphabet, "DFA must be complete: one successor per symbol")
         _states(chain([initial], *rows))
         self._set(alphabet, tuple(zip(*rows)), initial, _states(finals), minimal)

@@ -67,6 +67,7 @@ class WordSet:
     @classmethod
     def of(cls, alphabet: str, words: Iterable[str]) -> "WordSet":
         words = list(words)
+        _check_words(words, alphabet)  # before the words are sorted
         kept = [w for w in words if w]
         dropped = len(words) - len(kept)
         if dropped:

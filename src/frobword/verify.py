@@ -15,7 +15,6 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from math import gcd
-from operator import or_
 
 from frobword.automata import (
     CapExceeded,
@@ -452,21 +451,30 @@ def _levels(alphabet: str, max_len: int, blocks) -> list[bytearray]:
         for n in range(1, max_len + 1):
             for k, c in spots:
                 if k <= n:
-                    levels[n][c::sigma**k] = bytes(map(or_, levels[n][c::sigma**k], levels[n - k]))
+                    a, b = levels[n][c::sigma**k], levels[n - k]
+                    either = int.from_bytes(a, "big") | int.from_bytes(b, "big")
+                    levels[n][c::sigma**k] = either.to_bytes(len(a), "big")
     return levels
 
 
 def _first_difference(d: Dfa, levels) -> str | None:
     """The least word (by length, then ``itertools.product`` order) on which
-    ``d`` and the levels disagree, else None.  The states after the words of
-    length ``n`` are, in order, the successors of those after length ``n - 1``."""
-    states = [d.initial]
+    ``d`` and the levels disagree, else None.  ``pats[s]`` flags the words of
+    length ``n`` read from state ``s``, in that order: it is the join, symbol
+    by symbol, of its successors' patterns at ``n - 1``.  Only the states
+    within ``len(levels) - 1 - n`` symbols of ``initial`` are kept."""
+    last, depth, near = len(levels) - 1, {d.initial: 0}, [d.initial]
+    for s in near:  # breadth-first, to depth ``last``
+        if depth[s] < last:
+            for t in {col[s] for col in d.cols}.difference(depth):
+                depth[t] = depth[s] + 1
+                near.append(t)
+    pats = {s: bytes([s in d.finals]) for s in near}
     for n, level in enumerate(levels):
         if n:
-            states = [col[s] for s in states for col in d.cols]
-        accepted = bytes(s in d.finals for s in states)
-        if accepted != level:
-            i = next(i for i, (a, b) in enumerate(zip(accepted, level)) if a != b)
+            pats = {s: b"".join([pats[col[s]] for col in d.cols]) for s in near if depth[s] <= last - n}
+        if pats[d.initial] != level:
+            i = next(i for i, (a, b) in enumerate(zip(pats[d.initial], level)) if a != b)
             sigma = len(d.alphabet)
             return "".join(d.alphabet[i // sigma**j % sigma] for j in reversed(range(n)))
     return None
@@ -482,7 +490,9 @@ def suite_bounds(count: int = 200, seed: int = DEFAULT_SEED, shallow: bool = Fal
     and their longest omission is shorter than the bound.  Unless ``shallow``,
     the minimal DFAs of the star and of a shuffled chain of stars match the
     languages generated from the definitions, compared per length up to 12
-    (binary) and 8 (ternary); a mismatch names the least differing word.
+    (binary) and 8 (ternary): each length is one byte vector per side, the
+    DFA's joined from per-state patterns (``_first_difference``), and a
+    mismatch names the least differing word.
     The omissions are read by ``_omissions``, as ``measure`` reads them, but
     off the minimized window acceptor, so the route stays independent.
     Each law is one ``check``: a violation adds a row named after the law

@@ -509,6 +509,13 @@ def test_verify_tables_are_byte_stable(capsys, suite):
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (EXIT_OK, digest)
 
 
+def test_verify_bounds_table_at_the_defaults_is_byte_stable(capsys):
+    # count 200 with the deep concordance, at seed 7
+    code, out, _ = run(capsys, "verify", "bounds", "--seed", "7")
+    digest = "e9b9bd2687173ab2f8181891ebd6dd2dc47f36b8d25f59be909534d2774b5ab3"
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (EXIT_OK, digest)
+
+
 def test_verify_pairs_agreement_rows_past_the_benchmark_totals(capsys):
     # 179,886 non-commuting pairs with |w| + |x| up to 13; the digest was
     # recorded from the residual-pair search that the closed form replaced

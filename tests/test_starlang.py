@@ -852,6 +852,8 @@ FROBENIUS_CALLS = (frobenius_g, frobenius_f)
         (FROBENIUS_CALLS, [4, 6], GcdNotOne, "step sizes [4, 6] have gcd 2"),
         (WORD_CALLS, "02", ValueError, "word '02' uses characters 2 not in alphabet '01'"),
         (ALPHABET_CALLS, "00", ValueError, "alphabet '00' must be a nonempty string of distinct characters"),
+        (WORD_CALLS, 5, ValueError, "word 5 is not a string"),
+        (ALPHABET_CALLS, 5, ValueError, "alphabet 5 must be a nonempty string of distinct characters"),
     ],
 )
 def test_each_input_rule_raises_the_same_error_everywhere(calls, arg, error, message):

@@ -15,6 +15,7 @@ from frobword.automata import CapExceeded, Dfa, determinize, state_complexity
 from frobword.families import omitted_count_lower_bound, star_blowup_family, two_length_family
 from frobword.starlang import PreconditionViolated, WordSet, chain_nfa, minimal_star_dfa, trie_star_nfa
 from frobword.verify import (
+    _first_difference,
     _levels,
     crafted_word_sets,
     random_word_sets,
@@ -621,6 +622,35 @@ def _least_difference(d, language, upto):
         if (state in d.finals) != (w in language):
             return w
     return None
+
+
+@st.composite
+def dfas_and_levels(draw):
+    """A random complete DFA of 1-40 states, the minimal DFA of a random
+    star, the star's levels, and the same levels with one flag flipped, the
+    one of the empty word included."""
+    alphabet, words, _ = draw(words_and_chains())
+    upto = 7 if alphabet == "01" else 5
+    n = draw(st.integers(1, 40))
+    target = st.integers(0, n - 1)
+    rows = draw(st.lists(st.lists(target, min_size=len(alphabet), max_size=len(alphabet)), min_size=n, max_size=n))
+    d = Dfa(alphabet, rows, draw(target), draw(st.sets(target)))
+    levels = _levels(alphabet, upto, [words])
+    flipped = [bytearray(level) for level in levels]
+    length = draw(st.integers(0, upto))
+    flipped[length][draw(st.integers(0, len(alphabet) ** length - 1))] ^= 1
+    return d, minimal_star_dfa(WordSet.of(alphabet, words)), levels, flipped
+
+
+@given(dfas_and_levels())
+def test_first_difference_names_the_word_by_word_least_difference(case):
+    d, star, levels, flipped = case
+    upto = len(levels) - 1
+    for dfa in (d, star):
+        for lv in (levels, flipped):
+            assert _first_difference(dfa, lv) == _least_difference(dfa, _words_of(lv, dfa.alphabet), upto)
+    assert _first_difference(star, levels) is None
+    assert _first_difference(star, flipped) is not None
 
 
 DEEP = {"01": 12, "012": 8}

@@ -208,31 +208,27 @@ def cmd_gen(args) -> int:
 # verify
 
 
-# Every ``suite_*`` function in ``verify`` is a suite whose flags set its
-# parameters, read here before anything wraps the function.  The function is
-# looked up per call, so that a wrapper installed there sees it.  Verify flags
-# default to None and only the given ones are passed, so each default lives
-# once, in the suite's signature.  A flag the suite does not read is bad input,
-# except ``--seed``, the replay key every suite accepts.
+# Every ``suite_*`` function in ``verify`` is a suite, and its parameters are
+# its subcommand's flags, read here before anything wraps the function; the
+# function is looked up per call, so that a wrapper installed there sees it.
+# A flag defaults to None and only the given ones are passed, so each default
+# lives once, in the suite's signature.  ``--seed`` is the replay key every
+# suite accepts.
 SUITES = {
-    name[6:].replace("_", "-"): (name, tuple(inspect.signature(func).parameters))
+    name[6:].replace("_", "-"): (name, {k: p.default for k, p in inspect.signature(func).parameters.items()})
     for name, func in vars(verify_mod).items()
     if name.startswith("suite_")
 }
 
 
 def cmd_verify(args) -> int:
-    name, reads = SUITES[args.suite]
-    skip = ("command", "suite", "func")
-    given = {k: v for k, v in vars(args).items() if v is not None and k not in skip}
-    stray = sorted(given.keys() - set(reads) - {"seed"})
-    if stray:
-        raise ValueError("verify %s does not read --%s" % (args.suite, stray[0].replace("_", "-")))
+    name, params = SUITES[args.suite]
+    given = {k: v for k, v in vars(args).items() if v is not None and k in params}
     if given.get("count", 1) < 1:
         raise ValueError("--count must be a positive integer, got %d" % given["count"])
     if "alphabet" in given:  # every instance checked can be generated and measured
         _at("--alphabet", _check_carried, given["alphabet"])
-    report = getattr(verify_mod, name)(**{k: v for k, v in given.items() if k in reads})
+    report = getattr(verify_mod, name)(**given)
 
     print("instance\tpredicted\tactual\tstatus")
     for row in report.rows:
@@ -314,20 +310,13 @@ def build_parser() -> argparse.ArgumentParser:
     gc.add_argument("--t", type=int, required=True)
 
     v = sub.add_parser("verify", help="run a verification suite, emit a TSV table")
-    v.add_argument("suite", choices=list(SUITES))
-    v.add_argument("--seed", type=int, help="replay key, accepted by every suite")
-    v.add_argument("--count", type=int, help="unary, chain-cofinite, bounds: instances")
-    v.add_argument("--max-len", type=int, help="pairs: maximum word length")
-    v.add_argument(
-        "--agreement-total", type=int, help="pairs: maximum combined length for agreement checks"
-    )
-    v.add_argument("--t-max", type=int, help="st: largest family index")
-    v.add_argument("--m", type=int, help="tmn: short length")
-    v.add_argument("--n", type=int, help="tmn: long length")
-    v.add_argument("--alphabet", help="tmn: alphabet")
-    v.add_argument(
-        "--shallow", action="store_const", const=True, help="bounds: skip the per-length language concordance"
-    )
+    vsub = v.add_subparsers(dest="suite", required=True)
+    for suite, (_, params) in SUITES.items():
+        vs = vsub.add_parser(suite)
+        if "seed" not in params:  # the replay key every suite accepts
+            vs.add_argument("--seed", type=int, help="not read by this suite")
+        for k, default in params.items():
+            vs.add_argument("--" + k.replace("_", "-"), type=type(default), help="default %r" % (default,))
     v.set_defaults(func=cmd_verify)
 
     o = sub.add_parser("oracle", help="brute-force membership queries")

@@ -111,6 +111,7 @@ def _member_star_indexed(index: dict[int, frozenset[str]], word: str) -> bool:
 
 def member_star(s: WordSet, word: str) -> bool:
     """Whether the word splits into pieces from the set (dynamic program)."""
+    _check_words((word,), s.alphabet)
     return _member_star_indexed(_length_index(s.words), word)
 
 

@@ -107,7 +107,7 @@ class SuiteReport:
 # corpora
 
 
-def random_word_sets(count: int = 200, seed: int = DEFAULT_SEED) -> list[WordSet]:
+def random_word_sets(count: int, seed: int) -> list[WordSet]:
     """Random binary and ternary word sets, words of length at most 4."""
     rng = random.Random(seed)
     out = []
@@ -480,19 +480,19 @@ def _first_difference(d: Dfa, levels) -> str | None:
     return None
 
 
-def suite_bounds(count: int = 200, seed: int = DEFAULT_SEED, shallow: bool = False) -> SuiteReport:
+def suite_bounds(count: int = 200, seed: int = DEFAULT_SEED) -> SuiteReport:
     """Corpus-wide structural laws.
 
     Over random word sets plus hand-picked extras: the window construction
     agrees with the determinized trie; its reachable size obeys the closed
     bound; minimal DFA sizes obey the subset bound (and the sharper one for
     prefix-free sets); co-finite closures omit fewer than bound-many words
-    and their longest omission is shorter than the bound.  Unless ``shallow``,
-    the minimal DFAs of the star and of a shuffled chain of stars match the
-    languages generated from the definitions, compared per length up to 12
-    (binary) and 8 (ternary): each length is one byte vector per side, the
-    DFA's joined from per-state patterns (``_first_difference``), and a
-    mismatch names the least differing word.
+    and their longest omission is shorter than the bound.  The minimal DFAs
+    of the star and of a shuffled chain of stars match the languages
+    generated from the definitions, compared per length up to 12 (binary)
+    and 8 (ternary): each length is one byte vector per side, the DFA's
+    joined from per-state patterns (``_first_difference``), and a mismatch
+    names the least differing word.
     The omissions are read by ``_omissions``, as ``measure`` reads them, but
     off the minimized window acceptor, so the route stays independent.
     Each law is one ``check``: a violation adds a row named after the law
@@ -503,7 +503,7 @@ def suite_bounds(count: int = 200, seed: int = DEFAULT_SEED, shallow: bool = Fal
     report = SuiteReport("bounds")
     corpus = random_word_sets(count, seed) + crafted_word_sets()
     rng = random.Random(seed + 1)
-    deep_len = {} if shallow else {"01": 12, "012": 8}
+    deep_len = {"01": 12, "012": 8}
     orders = [list(s.words) for s in corpus]  # a deep set's is shuffled, in corpus order
     for s, order in zip(corpus, orders):
         if s.alphabet in deep_len:
@@ -562,7 +562,6 @@ def suite_bounds(count: int = 200, seed: int = DEFAULT_SEED, shallow: bool = Fal
     report.tally("longest omitted bound, %d co-finite sets" % n, "over", bad["longest omitted"])
     report.tally("omitted count bound", "over", bad["omitted count"])
     report.tally("extension condition on co-finite sets", "failures", bad["extension condition"])
-    if not shallow:
-        for kind in ("star", "chain"):
-            report.tally("%s membership concordance" % kind, "mismatches", bad[kind + " oracle"])
+    for kind in ("star", "chain"):
+        report.tally("%s membership concordance" % kind, "mismatches", bad[kind + " oracle"])
     return report

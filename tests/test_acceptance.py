@@ -53,7 +53,7 @@ def _line(num: int, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def bounds_report():
     t0 = time.perf_counter()
-    report = suite_bounds(count=200, shallow=False)
+    report = suite_bounds(count=200)
     report.elapsed = time.perf_counter() - t0
     return report
 

@@ -2,6 +2,7 @@
 oracle queries, and the exit-code contract."""
 
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -300,7 +301,17 @@ def test_measure_dot_reuses_the_measured_dfas(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "g.chain.dot").read_text() == want_chain
 
 
-@pytest.mark.parametrize("argv", [["measure"], ["verify", "unary", "--seed", "x"]])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["measure"],
+        ["verify", "unary", "--seed", "x"],
+        ["verify", "pairs", "--count", "5"],  # a flag the suite does not read
+        ["verify", "st", "--shallow"],
+        ["verify", "bounds", "--shallow"],
+        ["verify", "--count", "3", "unary"],  # a suite flag before the suite
+    ],
+)
 def test_usage_error_is_bad_input(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -310,9 +321,9 @@ def test_usage_error_is_bad_input(capsys, argv):
 
 def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "--help"])
+        main(["verify", "pairs", "--help"])
     assert exc.value.code == EXIT_OK
-    assert "--shallow" in capsys.readouterr().out
+    assert "--agreement-total" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +426,7 @@ def test_verify_small_suites(capsys):
         ["verify", "unary", "--count", "5"],
         ["verify", "chain-cofinite", "--count", "5"],
         ["verify", "tmn", "--m", "2", "--n", "3"],
-        ["verify", "bounds", "--count", "5", "--shallow"],
+        ["verify", "bounds", "--count", "5"],
         ["verify", "pairs", "--max-len", "2", "--agreement-total", "6"],
     ):
         code, out, _ = run(capsys, *args)
@@ -440,8 +451,6 @@ def test_verify_nonpositive_count_is_bad_input(capsys, suite, count):
         (["pairs", "--agreement-total", "1"], "agreement_total"),
         (["st", "--t-max", "1"], "t_max"),
         (["tmn", "--m", "3", "--n", "7"], "short < long < 2*short"),
-        (["pairs", "--count", "5"], "--count"),
-        (["st", "--shallow"], "--shallow"),
         (["unary", "--count", "4835"], "--count must be at most 4834"),
     ],
 )
@@ -474,6 +483,14 @@ def test_verify_suites_without_random_instances_accept_seed(capsys, argv):
     assert out.startswith("instance\t")
 
 
+def test_every_suite_parameter_has_an_int_or_str_default():
+    # each becomes a flag parsed by ``type(default)``: no on/off switches
+    suites = [f for name, f in vars(verify).items() if name.startswith("suite_")]
+    defaults = [p.default for f in suites for p in inspect.signature(f).parameters.values()]
+    assert len(suites) == 6 and defaults
+    assert all(type(d) in (int, str) for d in defaults), defaults
+
+
 def test_verify_looks_the_suite_up_on_verify_per_call(capsys, monkeypatch):
     calls = []
 
@@ -482,8 +499,8 @@ def test_verify_looks_the_suite_up_on_verify_per_call(capsys, monkeypatch):
         return SuiteReport("bounds")
 
     monkeypatch.setattr(verify, "suite_bounds", fake)
-    code, out, _ = run(capsys, "verify", "bounds", "--count", "1", "--shallow")
-    assert calls == [{"count": 1, "shallow": True}]
+    code, out, _ = run(capsys, "verify", "bounds", "--count", "1")
+    assert calls == [{"count": 1}]
     assert (code, out) == (EXIT_OK, "instance\tpredicted\tactual\tstatus\n")
 
 
@@ -510,7 +527,7 @@ def test_verify_tables_are_byte_stable(capsys, suite):
 
 
 def test_verify_bounds_table_at_the_defaults_is_byte_stable(capsys):
-    # count 200 with the deep concordance, at seed 7
+    # count 200, at seed 7
     code, out, _ = run(capsys, "verify", "bounds", "--seed", "7")
     digest = "e9b9bd2687173ab2f8181891ebd6dd2dc47f36b8d25f59be909534d2774b5ab3"
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (EXIT_OK, digest)
@@ -717,7 +734,7 @@ def test_two_calls_in_one_process_match_fresh_parsers(capsys, tmp_path):
     f = write_ws(tmp_path, "t.ws", "alphabet: 01\n00\n011\n")
     pairs = [
         (["gen", "tmn", "--m", "2", "--n", "3"], ["measure", f, "--no-timing"]),
-        (["verify", "unary", "--t-max", "3"], ["verify", "unary", "--count", "3", "--seed", "1"]),
+        (["verify", "unary", "--count", "0"], ["verify", "unary", "--count", "3", "--seed", "1"]),
     ]
     for calls in pairs:
         together = [run(capsys, *argv) for argv in calls]

@@ -115,8 +115,6 @@ def cases(draw) -> tuple[list[str], bytes]:
             argv += ["--agreement-total", draw(st.sampled_from("1258"))]
         elif suite == "tmn":
             argv += ["--m", draw(st.sampled_from("23")), "--n", draw(st.sampled_from("346"))]
-        elif suite == "bounds":
-            argv.append("--shallow")
         return argv, data
     queries = st.lists(st.text(alphabet="012a", max_size=8), min_size=1, max_size=3)
     return ["oracle", "FILE", *draw(queries), *_flags(draw, [("--chain", None)])], data

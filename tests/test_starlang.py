@@ -829,6 +829,7 @@ WORD_CALLS = (
     lambda w: chain_cofinite([w], "01"),
     lambda w: minimal_star_dfa(WordSet.of("01", ["0"])).accepts(w),
     lambda w: trie_star_nfa(WordSet.of("01", ["0"])).accepts(w),
+    lambda w: member_star(WordSet.of("01", ["0"]), w),
 )
 ALPHABET_CALLS = (
     lambda a: WordSet.of(a, ["0"]),

@@ -146,11 +146,11 @@ def test_suite_chain_cofinite_small():
 
 
 def test_suite_bounds_small():
-    r = suite_bounds(count=25, seed=3, shallow=True)
+    r = suite_bounds(count=25, seed=3)
     assert r.passed
     names = " ".join(row.instance for row in r.rows)
     assert "window vs trie" in names
-    assert "concordance" not in names
+    assert "star membership concordance" in names and "chain membership concordance" in names
 
 
 def test_suite_report_failure_paths():
@@ -214,9 +214,10 @@ def test_suite_pairs_reports_planted_faults(monkeypatch):
     assert [(row.instance, row.predicted, row.actual, row.ok) for row in r.rows] == FAULTY_PAIRS_ROWS
 
 
-# the rows suite_bounds(count=6, seed=5, shallow=True) gives with every law's
+# the rows suite_bounds(count=6, seed=5) gives with every law's
 # check planted to fail: no window state bound, no equivalence, no extension
-# condition, and minimize left out (so the subset bounds see window DFAs)
+# condition, and minimize left out (so the subset bounds see window DFAs);
+# the concordance rows stay ok, since an unminimized DFA has the same language
 FAULTY_BOUNDS_ROWS = [
     ("window size ('0', '1', '00', '101', '0100')", '<= 0', '15', False),
     ("window vs trie ('0', '1', '00', '101', '0100')", 'equivalent', 'differ', False),
@@ -295,6 +296,8 @@ FAULTY_BOUNDS_ROWS = [
     ('longest omitted bound, 10 co-finite sets', '0 over', '4 over', False),
     ('omitted count bound', '0 over', '4 over', False),
     ('extension condition on co-finite sets', '0 failures', '4 failures', False),
+    ('star membership concordance', '0 mismatches', '0 mismatches', True),
+    ('chain membership concordance', '0 mismatches', '0 mismatches', True),
 ]
 
 
@@ -303,7 +306,7 @@ def test_suite_bounds_reports_a_row_for_every_law(monkeypatch):
     monkeypatch.setattr(verify, "equivalent", lambda a, b: False)
     monkeypatch.setattr(verify, "prefix_suffix_condition", lambda words: False)
     monkeypatch.setattr(verify, "minimize", lambda d: d)
-    r = suite_bounds(count=6, seed=5, shallow=True)
+    r = suite_bounds(count=6, seed=5)
     assert [(row.instance, row.predicted, row.actual, row.ok) for row in r.rows] == FAULTY_BOUNDS_ROWS
 
 

@@ -65,7 +65,8 @@ def _states(values) -> frozenset[int]:
 
 
 def _rows(table, alphabet: str, message: str) -> list[tuple]:
-    """The table's rows as tuples, each one entry per symbol, or ``ValueError(message)``."""
+    """The alphabet rule, then the rows as tuples of one entry per symbol, or ``ValueError(message)``."""
+    _check_alphabet(alphabet)  # before the table is measured against it
     try:
         rows = list(map(tuple, table))
         if all(len(row) == len(alphabet) for row in rows):
@@ -129,19 +130,15 @@ class Nfa:
     finals: frozenset[int]
 
     def __init__(self, alphabet: str, transitions, initial, finals) -> None:
-        _check_alphabet(alphabet)  # before the table is measured against it
         rows = _rows(transitions, alphabet, "every state needs a successor set per symbol")
         edges = [(s, c, t) for s, row in enumerate(rows) for c, ts in zip(alphabet, row) for t in _states(ts)]
         self._set(alphabet, _edge_masks(len(rows), alphabet, edges), _states(initial), _states(finals))
 
     def _set(self, alphabet, masks, initial, finals) -> None:
-        _check_alphabet(alphabet)
         if not masks:
             raise ValueError("automaton needs at least one state")
         if not initial:
             raise ValueError("at least one initial state is required")
-        if set(map(len, masks)) != {len(alphabet)}:
-            raise ValueError("every state needs a successor set per symbol")
         if min(map(min, masks)) < 0 or max(map(max, masks)) >> len(masks):
             raise ValueError("transition target out of range")
         _check_range(initial, len(masks), "initial state")
@@ -159,6 +156,7 @@ class Nfa:
     @classmethod
     def from_edges(cls, state_count: int, alphabet: str, edges, initial, finals) -> "Nfa":
         """Build from an iterable of ``(source, symbol, target)`` triples."""
+        _check_alphabet(alphabet)
         masks = _edge_masks(state_count, alphabet, edges)
         return _new(cls, alphabet, masks, _states(initial), _states(finals))
 
@@ -195,7 +193,6 @@ class Dfa:
     numbered: bool = field(default=False, compare=False, repr=False)
 
     def __init__(self, alphabet: str, transitions, initial: int, finals, minimal=False) -> None:
-        _check_alphabet(alphabet)  # before the table is measured against it
         rows = _rows(transitions, alphabet, "DFA must be complete: one successor per symbol")
         _states(chain([initial], *rows))
         self._set(alphabet, tuple(zip(*rows)), initial, _states(finals), minimal)
@@ -206,16 +203,12 @@ class Dfa:
                 raise ValueError(msg % (self.state_count, len(cols[0]), count))
 
     def _set(self, alphabet, cols, initial, finals, minimal=False, numbered=False) -> None:
-        _check_alphabet(alphabet)
         n = len(cols[0]) if cols else 0
         if n == 0:
             raise ValueError("automaton needs at least one state")
-        if len(cols) != len(alphabet) or set(map(len, cols)) != {n}:
-            raise ValueError("DFA must be complete: one successor per symbol")
         for col in cols:
             _check_range(col, n, "transition target")
-        if not 0 <= initial < n:
-            raise ValueError("initial state %d out of range" % initial)
+        _check_range((initial,), n, "initial state")
         _check_range(finals, n, "final state")
         vars(self).update(
             alphabet=alphabet, cols=cols, initial=initial, finals=finals, minimal=minimal, numbered=numbered

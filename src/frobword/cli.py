@@ -272,6 +272,12 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(EXIT_BAD_INPUT, "%s: error: %s\n" % (self.prog, message))
 
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:  # refused here, so the usage line is that of the (sub)command given them
+            self.error("unrecognized arguments: %s" % " ".join(extras))
+        return namespace, extras
+
 
 @functools.cache  # parse_args leaves the parser as it is
 def build_parser() -> argparse.ArgumentParser:

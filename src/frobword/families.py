@@ -16,7 +16,7 @@ from itertools import product
 
 from frobword.automata import _check_alphabet
 from frobword.numeric import frobenius_g, representable
-from frobword.starlang import PreconditionViolated, WordSet, _check_budget, _check_two_lengths
+from frobword.starlang import PreconditionViolated, WordSet, _check_budget, _check_two_lengths, _integer
 
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
@@ -26,7 +26,7 @@ def base_repr(value: int, base: int, width: int, symbols: str | None = None) -> 
 
     Most significant digit first, zero-padded to ``width``.  Raises
     ``OverflowError`` when the value does not fit.  ``symbols`` supplies
-    the digit characters (defaults to 0-9 then a-z).
+    the digit characters, the first ``base`` distinct (defaults to 0-9 then a-z).
     """
     if base < 2:
         raise ValueError("base must be at least 2")
@@ -36,6 +36,7 @@ def base_repr(value: int, base: int, width: int, symbols: str | None = None) -> 
         symbols = _DIGITS
     if len(symbols) < base:
         raise ValueError("need at least %d digit symbols" % base)
+    _check_alphabet(symbols[:base])
     if not 0 <= value < base**width:
         raise OverflowError("%d does not fit in %d base-%d digits" % (value, width, base))
     return "".join(symbols[value // base**j % base] for j in reversed(range(width)))
@@ -50,9 +51,9 @@ class StarBlowupFamily:
     words: WordSet
 
 
-def _check_t(t: int) -> None:
-    if t < 2:
-        raise PreconditionViolated("the family needs t >= 2")
+def _check_t(t: int, least: int = 2, family: str = "the family") -> None:
+    if _integer(t) < least:
+        raise PreconditionViolated("%s needs t >= %d" % (family, least))
 
 
 def star_blowup_family(t: int) -> StarBlowupFamily:
@@ -103,8 +104,7 @@ def chain_blowup_family(t: int) -> tuple[list[str], int]:
     ``repeats * (1 + t(t+1))``; more than ``DEFAULT_ENUM_BUDGET`` symbols
     raise ``BudgetExceeded`` before any word is built.
     """
-    if t < 3:
-        raise PreconditionViolated("the chain family needs t >= 3")
+    _check_t(t, 3, "the chain family")
     repeats = (t + 1) * (t - 2) // 2 + 2 * t
     _check_budget(repeats * (1 + t * (t + 1)), "chain blowup family would write %d symbols at t = %d", t)
     return _blowup_words(t) * repeats, repeats

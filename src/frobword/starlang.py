@@ -19,6 +19,7 @@ import warnings
 from dataclasses import dataclass, field
 from itertools import accumulate
 from math import gcd
+from operator import index
 from typing import Iterable, Sequence
 
 from frobword.automata import (
@@ -507,9 +508,17 @@ def _check_budget(count: int, what: str, *args) -> None:
         raise BudgetExceeded(what % (count, *args))
 
 
+def _integer(value) -> int:
+    """``value`` read with ``operator.index``, or ``PreconditionViolated`` for a non-integer."""
+    try:
+        return index(value)
+    except TypeError:
+        raise PreconditionViolated("%r is not an integer" % (value,)) from None
+
+
 def _check_two_lengths(m: int, n: int) -> None:
-    """The two-length rules: ``0 < m < n < 2 * m``, and ``m``, ``n`` coprime."""
-    if not (0 < m < n < 2 * m):
+    """The two-length rules: integers ``0 < m < n < 2 * m``, and ``m``, ``n`` coprime."""
+    if not (0 < _integer(m) < _integer(n) < 2 * m):
         raise PreconditionViolated("lengths must satisfy 0 < short < long < 2*short")
     if gcd(m, n) != 1:
         raise PreconditionViolated("the two lengths must be coprime")

@@ -124,6 +124,25 @@ def test_nfa_constructor_rejects_malformed_tables(alphabet, rows, initial, final
         Nfa(alphabet, rows, initial, finals)
 
 
+def test_the_constructors_check_the_alphabet_once_and_the_constructions_never(monkeypatch):
+    # the rule runs where the table comes in; determinize and minimize build
+    # from an automaton whose alphabet is already checked
+    calls = []
+    check = automata._check_alphabet
+    monkeypatch.setattr(automata, "_check_alphabet", lambda alphabet: calls.append(alphabet) or check(alphabet))
+    builds = [
+        lambda: Dfa("01", ((1, 0), (0, 1)), 0, {0}),
+        lambda: Nfa("01", ((ONE, ONE),), ONE, ONE),
+        lambda: Nfa.from_edges(2, "01", [(0, "0", 1), (1, "1", 0)], {0}, {1}),
+    ]
+    for build in builds:
+        calls.clear()
+        fa = build()
+        assert calls == ["01"]
+        minimize(determinize(fa) if isinstance(fa, Nfa) else fa)
+        assert calls == ["01"]
+
+
 @pytest.mark.parametrize(
     "edge", [(-1, "0", 0), (2, "0", 0), (0, "2", 0), (0, "0", 2), (0, "0", -1), (0, "0", 0.5), ("a", "0", 0), 5]
 )

@@ -4,6 +4,7 @@ oracle queries, and the exit-code contract."""
 import hashlib
 import inspect
 import io
+import itertools
 import json
 import os
 import re
@@ -310,13 +311,18 @@ def test_measure_dot_reuses_the_measured_dfas(tmp_path, capsys, monkeypatch):
         ["verify", "st", "--shallow"],
         ["verify", "bounds", "--shallow"],
         ["verify", "--count", "3", "unary"],  # a suite flag before the suite
+        ["measure", "--bogus", "x"],
+        ["gen", "st", "--t", "3", "--m", "2"],  # a flag of another family
+        ["--bogus", "measure", "x"],
     ],
 )
 def test_usage_error_is_bad_input(capsys, argv):
+    # the usage line is that of the (sub)command named before the first option
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == EXIT_BAD_INPUT
-    assert "usage:" in capsys.readouterr().err
+    owner = list(itertools.takewhile(lambda a: not a.startswith("-"), argv))
+    assert capsys.readouterr().err.startswith("usage: %s " % " ".join(["frobword", *owner]))
 
 
 def test_help_exits_zero(capsys):

@@ -20,6 +20,7 @@ from frobword.automata import (
     DEFAULT_STATE_CAP,
     CapExceeded,
     Dfa,
+    Nfa,
     determinize,
     distinguishing_word,
     equivalent,
@@ -28,6 +29,7 @@ from frobword.automata import (
 )
 from frobword.families import (
     base_repr,
+    chain_blowup_family,
     star_blowup_family,
     star_blowup_sc,
     star_blowup_sc_floor,
@@ -482,11 +484,13 @@ def test_one_function_forks_pipes_and_reaps():
 
 
 def test_each_input_rule_is_spelled_in_one_function():
-    # the word rule and the alphabet rule, in this wording or an earlier one,
-    # each appear in one function: a second spelling of either fails here
+    # the word rule, the alphabet rule and the table-shape rule, in this wording
+    # or an earlier one, each appear where one function (or the two automaton
+    # constructors) spells it: a second spelling of any fails here
     spellings = {
         r"characters .*(outside|not in)|not in (the )?alphabet": {"automata._check_words"},
         r"distinct (characters|letters)|repeated character|empty alphabet": {"automata._check_alphabet"},
+        r"successor set per symbol|one successor per symbol": {"automata.Nfa.__init__", "automata.Dfa.__init__"},
     }
     strings = []  # (innermost enclosing definition, string), docstrings aside
 
@@ -834,6 +838,8 @@ WORD_CALLS = (
 ALPHABET_CALLS = (
     lambda a: WordSet.of(a, ["0"]),
     lambda a: Dfa(a, [[0, 0]], 0, []),
+    lambda a: Nfa(a, [[{0}, {0}]], {0}, {0}),
+    lambda a: Nfa.from_edges(1, a, [], {0}, {0}),
     lambda a: chain_nfa(["0"], a),
     lambda a: chain_cofinite(["0"], a),
     lambda a: two_length_family(2, 3, a),
@@ -855,6 +861,9 @@ FROBENIUS_CALLS = (frobenius_g, frobenius_f)
         (ALPHABET_CALLS, "00", ValueError, "alphabet '00' must be a nonempty string of distinct characters"),
         (WORD_CALLS, 5, ValueError, "word 5 is not a string"),
         (ALPHABET_CALLS, 5, ValueError, "alphabet 5 must be a nonempty string of distinct characters"),
+        (STAR_BLOWUP_CALLS, 2.5, PreconditionViolated, "2.5 is not an integer"),
+        (TWO_LENGTH_CALLS, (3.0, 5), PreconditionViolated, "3.0 is not an integer"),
+        (TWO_LENGTH_CALLS, (3, 5.0), PreconditionViolated, "5.0 is not an integer"),
     ],
 )
 def test_each_input_rule_raises_the_same_error_everywhere(calls, arg, error, message):
@@ -880,6 +889,13 @@ def test_each_input_rule_raises_the_same_error_everywhere(calls, arg, error, mes
         (lambda: base_repr(1, 1, 2), ValueError, "base must be at least 2"),
         (lambda: base_repr(1, 2, 0), ValueError, "width must be positive"),
         (lambda: base_repr(1, 3, 2, symbols="ab"), ValueError, "need at least 3 digit symbols"),
+        (
+            lambda: base_repr(0, 2, 2, symbols="aab"),
+            ValueError,
+            "alphabet 'aa' must be a nonempty string of distinct characters",
+        ),
+        (lambda: chain_blowup_family(2), PreconditionViolated, "the chain family needs t >= 3"),
+        (lambda: chain_blowup_family(3.5), PreconditionViolated, "3.5 is not an integer"),
         (
             lambda: distinguishing_word(
                 minimal_star_dfa(WordSet.of("0", ["0"])), minimal_star_dfa(WordSet.of("01", ["0"]))

@@ -32,6 +32,10 @@ class NotFinite(ValueError):
     """An operation that requires a finite language met a live cycle."""
 
 
+class PreconditionViolated(ValueError):
+    """Input fails a structural requirement of the operation."""
+
+
 def _check_alphabet(alphabet: str) -> None:
     if not isinstance(alphabet, str) or len(set(alphabet)) != len(alphabet) or not alphabet:
         raise ValueError("alphabet %r must be a nonempty string of distinct characters" % (alphabet,))
@@ -54,6 +58,21 @@ def _check_range(values, n: int, what: str) -> None:
     if values and (min(values) < 0 or max(values) >= n):
         bad = min(values) if min(values) < 0 else max(values)
         raise ValueError("%s %d out of range" % (what, bad))
+
+
+def _integer(value) -> int:
+    """``value`` read with ``operator.index``, or ``PreconditionViolated`` for a non-integer."""
+    try:
+        return index(value)
+    except TypeError:
+        raise PreconditionViolated("%r is not an integer" % (value,)) from None
+
+
+def _at_least(value, least: int, name: str) -> int:
+    """The size rule: ``value`` read by ``_integer``, refused with ``name`` when below ``least``."""
+    if (value := _integer(value)) < least:
+        raise PreconditionViolated("%s must be at least %d, got %d" % (name, least, value))
+    return value
 
 
 def _states(values) -> frozenset[int]:
@@ -79,8 +98,7 @@ def _rows(table, alphabet: str, message: str) -> list[tuple]:
 def _edge_masks(n: int, alphabet: str, edges) -> tuple[tuple[int, ...], ...]:
     """Successor bitmasks of ``(source, symbol, target)`` edges; an edge
     outside the ``n`` states or the alphabet is a ``ValueError`` naming it."""
-    if not isinstance(n, int):
-        raise ValueError("state count %r is not an integer" % (n,))
+    n = _integer(n)
     sym = {c: i for i, c in enumerate(alphabet)}
     rows = [[0] * len(alphabet) for _ in range(n)]
     for edge in edges:
@@ -245,6 +263,7 @@ def determinize(nfa: Nfa, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
     set.  A subset's successor on ``a`` is ``(S & shift[a]) << 1`` ORed with
     the rows of the members of ``S & irregular``, the only ones extracted.
     """
+    _at_least(state_cap, 1, "the state cap")
     nsym = len(nfa.alphabet)
     succ = nfa.masks
     shift = [0] * nsym

@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from frobword.automata import _check_alphabet
+from frobword.automata import PreconditionViolated, _at_least, _check_alphabet, _integer
 from frobword.numeric import frobenius_g, representable
-from frobword.starlang import PreconditionViolated, WordSet, _check_budget, _check_two_lengths, _integer
+from frobword.starlang import WordSet, _check_budget, _check_two_lengths
 
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
@@ -28,16 +28,14 @@ def base_repr(value: int, base: int, width: int, symbols: str | None = None) -> 
     ``OverflowError`` when the value does not fit.  ``symbols`` supplies
     the digit characters, the first ``base`` distinct (defaults to 0-9 then a-z).
     """
-    if base < 2:
-        raise ValueError("base must be at least 2")
-    if width < 1:
-        raise ValueError("width must be positive")
+    _at_least(base, 2, "base")
+    _at_least(width, 1, "width")
     if symbols is None:
         symbols = _DIGITS
     if len(symbols) < base:
         raise ValueError("need at least %d digit symbols" % base)
     _check_alphabet(symbols[:base])
-    if not 0 <= value < base**width:
+    if not 0 <= _integer(value) < base**width:
         raise OverflowError("%d does not fit in %d base-%d digits" % (value, width, base))
     return "".join(symbols[value // base**j % base] for j in reversed(range(width)))
 
@@ -51,11 +49,6 @@ class StarBlowupFamily:
     words: WordSet
 
 
-def _check_t(t: int, least: int = 2, family: str = "the family") -> None:
-    if _integer(t) < least:
-        raise PreconditionViolated("%s needs t >= %d" % (family, least))
-
-
 def star_blowup_family(t: int) -> StarBlowupFamily:
     """The blowup set for parameter ``t >= 2``.
 
@@ -65,7 +58,7 @@ def star_blowup_family(t: int) -> StarBlowupFamily:
     than ``DEFAULT_ENUM_BUDGET`` symbols, ``1 + t(t+1)``, raise
     ``BudgetExceeded`` before any word is built.
     """
-    _check_t(t)
+    _at_least(t, 2, "t")
     _check_budget(1 + t * (t + 1), "star blowup family would write %d symbols at t = %d", t)
     return StarBlowupFamily(t, WordSet.of("01", _blowup_words(t)))
 
@@ -81,13 +74,13 @@ def _blowup_words(t: int) -> list[str]:
 def star_blowup_sc(t: int) -> int:
     """Exact minimal DFA size of the blowup family's star closure:
     ``3 t 2**(t-2) + 2**(t-1)``."""
-    _check_t(t)
+    _at_least(t, 2, "t")
     return 3 * t * 2 ** (t - 2) + 2 ** (t - 1)
 
 
 def star_blowup_sc_floor(t: int) -> int:
     """Easy lower bound ``2**(t-2)`` on the same minimal DFA size."""
-    _check_t(t)
+    _at_least(t, 2, "t")
     return 2 ** (t - 2)
 
 
@@ -104,7 +97,7 @@ def chain_blowup_family(t: int) -> tuple[list[str], int]:
     ``repeats * (1 + t(t+1))``; more than ``DEFAULT_ENUM_BUDGET`` symbols
     raise ``BudgetExceeded`` before any word is built.
     """
-    _check_t(t, 3, "the chain family")
+    _at_least(t, 3, "t")
     repeats = (t + 1) * (t - 2) // 2 + 2 * t
     _check_budget(repeats * (1 + t * (t + 1)), "chain blowup family would write %d symbols at t = %d", t)
     return _blowup_words(t) * repeats, repeats

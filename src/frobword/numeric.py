@@ -12,17 +12,17 @@ import heapq
 from math import gcd
 from typing import Iterable
 
+from frobword.automata import _at_least
+
 
 class GcdNotOne(ValueError):
     """The step sizes share a common divisor, so no largest gap exists."""
 
 
 def _normalized(values: Iterable[int]) -> list[int]:
-    vals = sorted(set(values))
+    vals = sorted({_at_least(v, 1, "a step size") for v in values})
     if not vals:
         raise ValueError("at least one step size is required")
-    if vals[0] < 1:
-        raise ValueError("step sizes must be positive, got %r" % (vals[0],))
     return vals
 
 
@@ -100,8 +100,7 @@ def representable(amount: int, values: Iterable[int]) -> bool:
     """Whether ``amount`` is a sum of zero or more steps: exactly when it is
     at least the least sum of its residue class modulo the smallest step
     (``_residue_minima``)."""
-    if amount < 0:
-        raise ValueError("amount must be nonnegative")
+    _at_least(amount, 0, "amount")
     vals = _normalized(values)
     least = _residue_minima(vals)[amount % vals[0]]
     return least is not None and amount >= least

@@ -19,7 +19,6 @@ import warnings
 from dataclasses import dataclass, field
 from itertools import accumulate
 from math import gcd
-from operator import index
 from typing import Iterable, Sequence
 
 from frobword.automata import (
@@ -27,16 +26,15 @@ from frobword.automata import (
     CapExceeded,
     Dfa,
     Nfa,
+    PreconditionViolated,
+    _at_least,
     _check_words,
+    _integer,
     _new,
     _omissions,
     determinize,
     minimize,
 )
-
-
-class PreconditionViolated(ValueError):
-    """Input fails a structural requirement of the operation."""
 
 
 class BudgetExceeded(RuntimeError):
@@ -192,8 +190,9 @@ def trie_star_nfa(s: WordSet) -> Nfa:
 
 def window_state_bound(alphabet_size: int, max_len: int) -> int:
     """Upper bound on reachable window-DFA states: sum over window fills
-    ``i < max_len`` of ``alphabet_size**i * 2**(i+1)``."""
-    return sum(alphabet_size**i * 2 ** (i + 1) for i in range(max_len))
+    ``i < max_len`` of ``alphabet_size**i * 2**(i+1)``; both sizes at least 1."""
+    sigma, n = _at_least(alphabet_size, 1, "alphabet_size"), _at_least(max_len, 1, "max_len")
+    return sum(sigma**i * 2 ** (i + 1) for i in range(n))
 
 
 def window_star_dfa(s: WordSet, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
@@ -241,11 +240,12 @@ def _window_numbering(sigma: int, shift: int, state_cap: int) -> tuple[list[int]
     """``first[k]`` and ``power[k]``, the numbers of strings shorter than
     ``k`` and of length ``k`` for ``k <= shift``; ``CapExceeded`` when the
     windows, the strings shorter than ``shift``, are more than the cap."""
+    _at_least(state_cap, 1, "the state cap")
     first, power = [0], [1]
-    while len(first) <= shift and first[-1] <= max(state_cap, 1):
+    while len(first) <= shift and first[-1] <= state_cap:
         first.append(first[-1] + power[-1])
         power.append(power[-1] * sigma)
-    if first[-1] > max(state_cap, 1):  # the start state is never refused
+    if first[-1] > state_cap:
         raise CapExceeded("window construction exceeded %d states" % state_cap)
     return first, power
 
@@ -506,14 +506,6 @@ def _check_budget(count: int, what: str, *args) -> None:
     """``BudgetExceeded``, saying ``what % (count, *args)``, when ``count`` is over the budget."""
     if count > DEFAULT_ENUM_BUDGET:
         raise BudgetExceeded(what % (count, *args))
-
-
-def _integer(value) -> int:
-    """``value`` read with ``operator.index``, or ``PreconditionViolated`` for a non-integer."""
-    try:
-        return index(value)
-    except TypeError:
-        raise PreconditionViolated("%r is not an integer" % (value,)) from None
 
 
 def _check_two_lengths(m: int, n: int) -> None:

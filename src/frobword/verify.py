@@ -19,6 +19,8 @@ from math import gcd
 from frobword.automata import (
     CapExceeded,
     Dfa,
+    PreconditionViolated,
+    _at_least,
     _omissions,
     determinize,
     equivalent,
@@ -39,7 +41,6 @@ from frobword.families import (
 from frobword.numeric import frobenius_g
 from frobword.starlang import (
     BudgetExceeded,
-    PreconditionViolated,
     WordSet,
     _check_budget,
     _halves,
@@ -161,16 +162,17 @@ def suite_unary(count: int = 50, seed: int = DEFAULT_SEED) -> SuiteReport:
     g, the size must be exactly ``d * (g + 1) + 1``.  Tuples whose
     quotients contain 1 are resampled: their closure is just a cycle and
     the closed form does not apply (they are covered by the degenerate law
-    in the unit tests).  A ``count`` above the number of tuples left raises
+    in the unit tests).  A ``count`` below 1 or above the tuples left raises
     ``PreconditionViolated``.  The tuples are drawn first, then sized by
     ``_halves``.
     """
     def drawn(tup: tuple[int, ...]) -> bool:  # no quotient is 1
         return tup[0] // gcd(*tup) != 1
 
+    _at_least(count, 1, "count")
     pool = sum(drawn(tup) for k in range(1, 5) for tup in itertools.combinations(range(1, 21), k))
     if count > pool:
-        msg = "--count must be at most %d, the number of length tuples, got %d"
+        msg = "count must be at most %d, the number of length tuples, got %d"
         raise PreconditionViolated(msg % (pool, count))
     report = SuiteReport("unary")
     rng = random.Random(seed)
@@ -247,10 +249,8 @@ def suite_pairs(max_len: int = 6, agreement_total: int = 14) -> SuiteReport:
     first-seen order, then the agreement checks grouped by
     ``(|w| + |x|, |w|)``, are split by ``_halves``.
     """
-    if max_len < 2:
-        raise PreconditionViolated("max_len must be at least 2, got %d" % max_len)
-    if agreement_total < 2:
-        raise PreconditionViolated("agreement_total must be at least 2, got %d" % agreement_total)
+    _at_least(max_len, 2, "max_len")
+    _at_least(agreement_total, 2, "agreement_total")
     k = 2 ** (max_len + 1) - 2  # the words; unordered star pairs, then ordered chain pairs
     _check_budget(k * (k + 1) // 2 + k * k, "pair laws would check %d pairs up to length %d", max_len)
     checks = (agreement_total - 2) * 2 ** (agreement_total + 1) + 4  # sum of (t - 1) 2**t over t
@@ -309,8 +309,7 @@ def suite_st(t_max: int = 5) -> SuiteReport:
     tried: it gives the one cap event and its row.  ``t_max`` below 2 (the
     smallest family member) raises ``PreconditionViolated``.
     """
-    if t_max < 2:
-        raise PreconditionViolated("t_max must be at least 2, got %d" % t_max)
+    _at_least(t_max, 2, "t_max")
     report = SuiteReport("st")
     for t in range(2, t_max + 1):
         fam = star_blowup_family(t)
@@ -404,6 +403,7 @@ def suite_chain_cofinite(count: int = 100, seed: int = DEFAULT_SEED) -> SuiteRep
     reports, over random one-letter and two-letter instances with mixed
     length gcds.  The instances are drawn first, then decided by
     ``_halves``; a cap hit is its instance's row."""
+    _at_least(count, 1, "count")
     report = SuiteReport("chain-cofinite")
     rng = random.Random(seed)
     instances = []
@@ -500,6 +500,7 @@ def suite_bounds(count: int = 200, seed: int = DEFAULT_SEED) -> SuiteReport:
     chain orders are drawn first; the sets are then checked by ``_halves``
     and their results replayed in corpus order.
     """
+    _at_least(count, 1, "count")
     report = SuiteReport("bounds")
     corpus = random_word_sets(count, seed) + crafted_word_sets()
     rng = random.Random(seed + 1)

@@ -152,8 +152,16 @@ def test_from_edges_names_an_edge_outside_the_automaton(edge):
 
 
 def test_from_edges_refuses_a_state_count_that_is_not_an_integer():
-    with pytest.raises(ValueError, match="^state count '1' is not an integer$"):
+    with pytest.raises(ValueError, match="^'1' is not an integer$"):
         Nfa.from_edges("1", "01", [], {0}, {0})
+
+
+@pytest.mark.parametrize("mask", [1 << 2, -1])
+def test_constructions_range_check_their_masks(mask):
+    # the one check a construction's masks get: a successor past the last
+    # state, or a negative mask, is refused
+    with pytest.raises(ValueError, match="^transition target out of range$"):
+        automata._new(Nfa, "01", ((1, mask), (0, 0)), frozenset({0}), frozenset({0}))
 
 
 @pytest.mark.parametrize("initial, finals", [({0.5}, {0}), ({0}, {"0"})])

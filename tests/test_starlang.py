@@ -7,7 +7,7 @@ import re
 import tracemalloc
 import warnings
 from dataclasses import fields, replace
-from itertools import accumulate, product
+from itertools import accumulate, chain, product
 from math import gcd
 from pathlib import Path
 
@@ -35,7 +35,7 @@ from frobword.families import (
     star_blowup_sc_floor,
     two_length_family,
 )
-from frobword.numeric import GcdNotOne, frobenius_f, frobenius_g, representable
+from frobword.numeric import GcdNotOne, frobenius_f, frobenius_g, gcd_all, is_degenerate, representable
 from frobword.starlang import (
     BudgetExceeded,
     PreconditionViolated,
@@ -53,6 +53,7 @@ from frobword.starlang import (
     window_star_dfa,
     window_state_bound,
 )
+from frobword.verify import suite_bounds, suite_chain_cofinite, suite_pairs, suite_st, suite_unary
 from frobword.words import fine_wilf_agreement
 from oracles import chain_upto, closure_upto, sieve_reachable, subset_table, window_star_table, words_upto
 from processes import (
@@ -191,10 +192,13 @@ def test_pending_merge_matches_trie_subsets_and_window(s):
     assert window_states == len(window_star_table(s.alphabet, s.words)[0])
     assert minimize(quotient) == minimize(window)
     for cap in {0, 1, window_states - 1, window_states}:
+        if cap < 1:  # no state fits: refused before the search starts
+            for build in (window_star_dfa, pending_star_dfa):
+                with pytest.raises(PreconditionViolated, match="^the state cap must be at least 1, got 0$"):
+                    build(s, cap)
+            continue
         outcomes = {_built_or_cap_message(b, s, cap) for b in (window_star_dfa, pending_star_dfa)}
-        # a one-state window acceptor never grows, so no cap stops it
-        grows = cap < window_states and window_states > 1
-        want = "window construction exceeded %d states" % cap if grows else None
+        want = "window construction exceeded %d states" % cap if cap < window_states else None
         assert outcomes == {want}
 
 
@@ -491,6 +495,10 @@ def test_each_input_rule_is_spelled_in_one_function():
         r"characters .*(outside|not in)|not in (the )?alphabet": {"automata._check_words"},
         r"distinct (characters|letters)|repeated character|empty alphabet": {"automata._check_alphabet"},
         r"successor set per symbol|one successor per symbol": {"automata.Nfa.__init__", "automata.Dfa.__init__"},
+        r"must be at least|must be positive|must be nonnegative|needs t >=|is not an integer": {
+            "automata._at_least",
+            "automata._integer",
+        },
     }
     strings = []  # (innermost enclosing definition, string), docstrings aside
 
@@ -845,6 +853,41 @@ ALPHABET_CALLS = (
     lambda a: two_length_family(2, 3, a),
 )
 FROBENIUS_CALLS = (frobenius_g, frobenius_f)
+UNARY = WordSet.of("0", ["00", "000"])
+# each integer parameter, as its refusal names it and with its least value,
+# and the calls that take it
+SIZE_CALLS = {
+    ("the state cap", 1): (
+        lambda c: determinize(trie_star_nfa(UNARY), c),
+        lambda c: window_star_dfa(UNARY, c),
+        lambda c: pending_star_dfa(UNARY, c),
+        lambda c: minimal_star_dfa(UNARY, c),
+        lambda c: minimal_chain_dfa(["00", "000"], "0", c),
+        lambda c: measure_all(UNARY, state_cap=c),
+        lambda c: measure_all(UNARY, star=False, state_cap=c),
+        lambda c: two_length_cofinite(two_length_family(2, 3).words, 2, 3, budget=c),
+    ),
+    ("count", 1): (suite_unary, suite_chain_cofinite, suite_bounds),
+    ("max_len", 2): (lambda c: suite_pairs(max_len=c),),
+    ("agreement_total", 2): (lambda c: suite_pairs(agreement_total=c),),
+    ("t_max", 2): (suite_st,),
+    ("t", 2): STAR_BLOWUP_CALLS,
+    ("t", 3): (chain_blowup_family,),
+    ("base", 2): (lambda c: base_repr(1, c, 2),),
+    ("width", 1): (lambda c: base_repr(1, 2, c),),
+    ("a step size", 1): (
+        lambda c: frobenius_g([c, 3]),
+        lambda c: frobenius_f([c, 3]),
+        lambda c: gcd_all([c, 3]),
+        lambda c: is_degenerate([c, 3]),
+        lambda c: representable(5, [c, 3]),
+    ),
+    ("amount", 0): (lambda c: representable(c, [2, 3]),),
+    ("alphabet_size", 1): (lambda c: window_state_bound(c, 3),),
+    ("max_len", 1): (lambda c: window_state_bound(2, c),),
+}
+# the integers with no least value
+UNBOUNDED_CALLS = (lambda c: base_repr(c, 2, 2), lambda c: Nfa.from_edges(c, "01", [], {0}, {0}))
 
 
 @pytest.mark.parametrize(
@@ -855,7 +898,7 @@ FROBENIUS_CALLS = (frobenius_g, frobenius_f)
         (TWO_LENGTH_CALLS, (3, 7), PreconditionViolated, ORDER),
         (TWO_LENGTH_CALLS, (2, 4), PreconditionViolated, ORDER),
         (TWO_LENGTH_CALLS, (4, 6), PreconditionViolated, "the two lengths must be coprime"),
-        (STAR_BLOWUP_CALLS, 1, PreconditionViolated, "the family needs t >= 2"),
+        (STAR_BLOWUP_CALLS, 1, PreconditionViolated, "t must be at least 2, got 1"),
         (FROBENIUS_CALLS, [4, 6], GcdNotOne, "step sizes [4, 6] have gcd 2"),
         (WORD_CALLS, "02", ValueError, "word '02' uses characters 2 not in alphabet '01'"),
         (ALPHABET_CALLS, "00", ValueError, "alphabet '00' must be a nonempty string of distinct characters"),
@@ -864,6 +907,11 @@ FROBENIUS_CALLS = (frobenius_g, frobenius_f)
         (STAR_BLOWUP_CALLS, 2.5, PreconditionViolated, "2.5 is not an integer"),
         (TWO_LENGTH_CALLS, (3.0, 5), PreconditionViolated, "3.0 is not an integer"),
         (TWO_LENGTH_CALLS, (3, 5.0), PreconditionViolated, "5.0 is not an integer"),
+        (tuple(chain(*SIZE_CALLS.values(), UNBOUNDED_CALLS)), 2.5, PreconditionViolated, "2.5 is not an integer"),
+        *[
+            (calls, least - 1, PreconditionViolated, "%s must be at least %d, got %d" % (name, least, least - 1))
+            for (name, least), calls in SIZE_CALLS.items()
+        ],
     ],
 )
 def test_each_input_rule_raises_the_same_error_everywhere(calls, arg, error, message):
@@ -883,18 +931,18 @@ def test_each_input_rule_raises_the_same_error_everywhere(calls, arg, error, mes
             PreconditionViolated,
             "every word must have one of the two lengths",
         ),
-        (lambda: representable(-1, [2, 3]), ValueError, "amount must be nonnegative"),
-        (lambda: star_blowup_sc(1), PreconditionViolated, "the family needs t >= 2"),
-        (lambda: star_blowup_sc_floor(1), PreconditionViolated, "the family needs t >= 2"),
-        (lambda: base_repr(1, 1, 2), ValueError, "base must be at least 2"),
-        (lambda: base_repr(1, 2, 0), ValueError, "width must be positive"),
+        (lambda: representable(-1, [2, 3]), PreconditionViolated, "amount must be at least 0, got -1"),
+        (lambda: star_blowup_sc(1), PreconditionViolated, "t must be at least 2, got 1"),
+        (lambda: star_blowup_sc_floor(1), PreconditionViolated, "t must be at least 2, got 1"),
+        (lambda: base_repr(1, 1, 2), PreconditionViolated, "base must be at least 2, got 1"),
+        (lambda: base_repr(1, 2, 0), PreconditionViolated, "width must be at least 1, got 0"),
         (lambda: base_repr(1, 3, 2, symbols="ab"), ValueError, "need at least 3 digit symbols"),
         (
             lambda: base_repr(0, 2, 2, symbols="aab"),
             ValueError,
             "alphabet 'aa' must be a nonempty string of distinct characters",
         ),
-        (lambda: chain_blowup_family(2), PreconditionViolated, "the chain family needs t >= 3"),
+        (lambda: chain_blowup_family(2), PreconditionViolated, "t must be at least 3, got 2"),
         (lambda: chain_blowup_family(3.5), PreconditionViolated, "3.5 is not an integer"),
         (
             lambda: distinguishing_word(

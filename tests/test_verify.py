@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from frobword import verify
+from frobword import cli, verify
 from frobword.automata import CapExceeded, Dfa, determinize, state_complexity
 from frobword.families import omitted_count_lower_bound, star_blowup_family, two_length_family
 from frobword.starlang import PreconditionViolated, WordSet, chain_nfa, minimal_star_dfa, trie_star_nfa
@@ -750,3 +750,18 @@ def test_tmn_checks_the_count_measure_reports(monkeypatch):
     monkeypatch.setattr(verify, "measure_all", faulty)
     report = suite_tmn(3, 5)
     assert [(r.instance, r.actual) for r in report.failures()] == [("omitted count", str(floor - 1))]
+
+
+def test_tmn_stops_at_a_star_side_that_is_not_cofinite(monkeypatch, capsys):
+    # every later row reads the omissions of a co-finite closure, so a planted
+    # infinite complement is the last row, and the command exits 1
+    real = verify.measure_all
+
+    def faulty(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), cofinite_star=False)
+
+    monkeypatch.setattr(verify, "measure_all", faulty)
+    rows = [(r.instance, r.predicted, r.actual, r.ok) for r in suite_tmn(3, 5).rows]
+    assert rows == [("decision procedure", "True", "True", True), ("automaton co-finite", "True", "False", False)]
+    assert cli.main(["verify", "tmn", "--m", "3", "--n", "5"]) == cli.EXIT_VIOLATION
+    assert capsys.readouterr().out.splitlines()[-1] == "automaton co-finite\tTrue\tFalse\tFAIL"

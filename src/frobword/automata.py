@@ -41,17 +41,28 @@ def _check_alphabet(alphabet: str) -> None:
         raise ValueError("alphabet %r must be a nonempty string of distinct characters" % (alphabet,))
 
 
-def _check_words(words, alphabet: str) -> None:
+def _check_words(words, alphabet: str | None) -> None:
     """The alphabet rule, then the word rule: a word that is not a string, or
-    has characters outside the alphabet, is refused, naming them."""
-    _check_alphabet(alphabet)
-    letters = set(alphabet)
+    has characters outside the alphabet, is refused, naming them.  With
+    ``alphabet`` None, only the strings are checked."""
+    if alphabet is not None:
+        _check_alphabet(alphabet)
+    letters = set(alphabet or "")
     for w in words:
         if not isinstance(w, str):
             raise ValueError("word %r is not a string" % (w,))
-        if not letters.issuperset(w):
+        if alphabet is not None and not letters.issuperset(w):
             stray = ",".join(sorted(set(w) - letters))
             raise ValueError("word %r uses characters %s not in alphabet %r" % (w, stray, alphabet))
+
+
+def _check_generators(words, alphabet: str | None) -> None:
+    """The list rule: ``_check_words``, then at least one word, and no empty word."""
+    _check_words(words, alphabet)
+    if not words:
+        raise ValueError("at least one word is required")
+    if not all(words):
+        raise ValueError("words must be nonempty")
 
 
 def _check_range(values, n: int, what: str) -> None:

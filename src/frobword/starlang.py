@@ -1,13 +1,13 @@
 """Star closures of finite word sets: membership oracles, automaton
 constructions, and the measures of how much a closure misses.
 
-A ``WordSet`` holds distinct nonempty words over a declared alphabet.  Its
-star closure is everything obtainable by concatenating words of the set,
-empty concatenation included.  ``measure_all`` packages the interesting
-quantities: whether only finitely many words are missed, the longest and
-the number of missed words, minimal DFA sizes for the closure and for the
-ordered concatenation of the individual stars, and the construction sizes
-the answers came from.
+A ``WordSet`` holds distinct nonempty words over a declared alphabet, in
+one canonical order.  Its star closure is everything obtainable by
+concatenating words of the set, empty concatenation included.
+``measure_all`` packages the interesting quantities: whether only finitely
+many words are missed, the longest and the number of missed words, minimal
+DFA sizes for the closure and for the ordered concatenation of the
+individual stars, and the construction sizes the answers came from.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from frobword.automata import (
     Nfa,
     PreconditionViolated,
     _at_least,
+    _check_generators,
     _check_words,
     _integer,
     _new,
@@ -45,34 +46,28 @@ class BudgetExceeded(RuntimeError):
 class WordSet:
     """Finite set of distinct nonempty words over a declared alphabet.
 
-    Construct through ``WordSet.of``, which normalizes: duplicate words
-    collapse, empty words are dropped with a warning (they never change the
-    star closure), and words are kept sorted by length then lexicographic
-    rank for deterministic output.
+    The constructor checks the words once, by the list rule, and keeps them
+    canonical: duplicates collapse and the words are sorted by length, then
+    lexicographic rank, so sets of the same words are equal however they
+    came in.  ``WordSet.of`` also drops empty words, with a warning.
     """
 
     alphabet: str
     words: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        _check_words(self.words, self.alphabet)
-        if not self.words:
-            raise ValueError("at least one word is required")
-        if len(set(self.words)) != len(self.words):
-            raise ValueError("words must be distinct")
-        if not all(self.words):
-            raise ValueError("words must be nonempty")
+        words = tuple(self.words)
+        _check_generators(words, self.alphabet)
+        object.__setattr__(self, "words", tuple(sorted(set(words), key=lambda w: (len(w), w))))
 
     @classmethod
     def of(cls, alphabet: str, words: Iterable[str]) -> "WordSet":
+        """The set of the words; empty ones are dropped, with a warning (they never change the closure)."""
         words = list(words)
-        _check_words(words, alphabet)  # before the words are sorted
-        kept = [w for w in words if w]
-        dropped = len(words) - len(kept)
-        if dropped:
+        kept = [w for w in words if w != ""]
+        if dropped := len(words) - len(kept):
             warnings.warn("ignoring %d empty word(s): they never change the closure" % dropped)
-        ordered = tuple(sorted(set(kept), key=lambda w: (len(w), w)))
-        return cls(alphabet, ordered)
+        return cls(alphabet, kept)
 
     @property
     def word_count(self) -> int:
@@ -114,18 +109,11 @@ def member_star(s: WordSet, word: str) -> bool:
     return _member_star_indexed(_length_index(s.words), word)
 
 
-def _check_chain(xs: Sequence[str]) -> None:
-    """The chain rules: at least one word, and no empty word."""
-    if not xs:
-        raise ValueError("empty chains are not meaningful")
-    if not all(xs):
-        raise ValueError("chain words must be nonempty")
-
-
 def member_chain(xs: Sequence[str], word: str) -> bool:
     """Whether the word is a block of repeats of ``xs[0]``, then repeats of
     ``xs[1]``, and so on, any block possibly empty."""
-    _check_chain(xs)
+    _check_generators(xs, None)
+    _check_words((word,), None)
     positions = {0}
     for x in xs:
         n = len(x)
@@ -292,8 +280,7 @@ def chain_nfa(xs: Sequence[str], alphabet: str) -> Nfa:
     any later word, which encodes skipping empty blocks.  Anchors accept.
     State count is the total length of the words.
     """
-    _check_chain(xs)
-    _check_words(xs, alphabet)
+    _check_generators(xs, alphabet)
     sym = {c: i for i, c in enumerate(alphabet)}
     anchors = [end - 1 for end in accumulate(map(len, xs))]
     masks = [[0] * len(alphabet) for _ in range(anchors[-1] + 1)]
@@ -313,8 +300,7 @@ def chain_cofinite(xs: Sequence[str], alphabet: str) -> bool:
     are coprime overall; over two or more letters the chain fixes the order
     of blocks and misses infinitely many rearrangements.
     """
-    _check_chain(xs)
-    _check_words(xs, alphabet)
+    _check_generators(xs, alphabet)
     return len(alphabet) == 1 and gcd(*map(len, xs)) == 1
 
 
@@ -457,13 +443,15 @@ def measure_all(
     ``_omissions``: a side is the full language when it omits no word, and
     the chain's co-finiteness is its automaton's verdict (``chain_cofinite``
     is the prediction ``verify chain-cofinite`` checks against it).
-    ``xs_order`` fixes the order of the chain of stars and may repeat words;
-    it must use exactly the words of the set.  It defaults to the set's
-    canonical order.  ``star=False`` or ``chain=False`` skips that side
-    entirely (the corresponding fields come back ``None``).
+    The state cap is checked first, whichever sides run.  ``xs_order``
+    fixes the order of the chain of stars and may repeat words; it passes
+    the list rule, then must use exactly the words of the set.  It defaults
+    to the set's canonical order.  ``star=False`` or ``chain=False`` skips
+    that side entirely (the corresponding fields come back ``None``).
     """
-    if xs_order is None:
-        xs_order = list(s.words)
+    _at_least(state_cap, 1, "the state cap")
+    xs_order = list(s.words) if xs_order is None else xs_order
+    _check_generators(xs_order, s.alphabet)
     if set(xs_order) != set(s.words):
         raise ValueError("chain order must use exactly the words of the set")
 
@@ -530,8 +518,9 @@ def two_length_cofinite(
     acceptor, not on the trie route ``measure_all`` reads: each length's
     states are all successors of the last length's, and every state the
     borderline length reaches must accept.  ``budget`` caps the acceptor's
-    states (``CapExceeded``).
+    states (``CapExceeded``); it is checked first, on every path.
     """
+    _at_least(budget, 1, "the state cap")
     m, n = short_len, long_len
     _check_two_lengths(m, n)
     if any(len(w) not in (m, n) for w in s.words):

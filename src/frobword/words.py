@@ -4,7 +4,8 @@ concatenation of a pair.
 
 Words are plain Python strings; the surrounding alphabet never matters here
 except for the size predictions, which assume at least two letters exist (a
-rejecting sink is counted).
+rejecting sink is counted).  Each function refuses a non-string or empty
+word, and ``prefix_suffix_condition`` an empty list, by the list rule.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 from math import gcd
 from typing import Iterable
 
+from frobword.automata import _check_generators
 from frobword.numeric import frobenius_g
 
 INFINITE = math.inf
@@ -21,15 +23,10 @@ EXACT = "exact"
 UPPER_BOUND = "upper-bound"
 
 
-def _require_nonempty(*ws: str) -> None:
-    for w in ws:
-        if not w:
-            raise ValueError("words must be nonempty")
-
-
 def commutes(w: str, x: str) -> bool:
     """Whether the two words commute under concatenation."""
-    _require_nonempty(w, x)
+    if not (isinstance(w, str) and isinstance(x, str) and w and x):  # the helper only raises
+        _check_generators((w, x), None)
     return w + x == x + w
 
 
@@ -68,7 +65,8 @@ def fine_wilf_agreement(w: str, x: str) -> int | float:
     not commute either, and ``lcp(wx, xw) = len(w) + lcp(wy, yw)``.  The
     case ``w = xy`` is symmetric.
     """
-    _require_nonempty(w, x)
+    if not (isinstance(w, str) and isinstance(x, str) and w and x):  # the helper only raises
+        _check_generators((w, x), None)
     wx, xw = w + x, x + w
     if wx == xw:
         return INFINITE
@@ -86,8 +84,9 @@ def prefix_suffix_condition(words: Iterable[str]) -> bool:
     on its generating set (unless it is everything), which makes the check
     a cheap necessary filter.
     """
-    ws = sorted(set(words))
-    _require_nonempty(*ws)
+    ws = list(words)
+    _check_generators(ws, None)
+    ws = sorted(set(ws))
 
     def linked(u: str, v: str, from_end: bool) -> bool:
         if u == v:

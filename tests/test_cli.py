@@ -154,6 +154,19 @@ def test_measure_order_flag(tmp_path, capsys):
     assert "order" in err
 
 
+@pytest.mark.parametrize(
+    "order, says",
+    [
+        (",", "at least one word is required"),
+        ("0,2", "word '2' uses characters 2 not in alphabet '01'"),
+    ],
+)
+def test_measure_order_is_checked_by_the_list_rule(tmp_path, capsys, order, says):
+    f = write_ws(tmp_path, "p.ws", "alphabet: 01\n0\n1\n")
+    code, out, err = run(capsys, "measure", f, "--order", order, "--no-timing")
+    assert (code, out, err) == (EXIT_BAD_INPUT, "", "error: %s\n" % says)
+
+
 def test_measure_order_refused_when_the_alphabet_has_a_comma(tmp_path, capsys):
     f = write_ws(tmp_path, "c.ws", "alphabet: ,0\n,\n0\n")
     code, out, _ = run(capsys, "measure", f, "--no-timing")

@@ -54,7 +54,14 @@ from frobword.starlang import (
     window_state_bound,
 )
 from frobword.verify import suite_bounds, suite_chain_cofinite, suite_pairs, suite_st, suite_unary
-from frobword.words import fine_wilf_agreement
+from frobword.words import (
+    common_root,
+    commutes,
+    fine_wilf_agreement,
+    predicted_pair_concat_sc,
+    predicted_pair_star_sc,
+    prefix_suffix_condition,
+)
 from oracles import chain_upto, closure_upto, sieve_reachable, subset_table, window_star_table, words_upto
 from processes import (
     _fork_fails,
@@ -96,8 +103,31 @@ def test_word_set_rejects_bad_input():
         WordSet.of("00", ["0"])
     with pytest.raises(ValueError):
         WordSet("01", ("",))
-    with pytest.raises(ValueError):
-        WordSet("01", ("0", "0"))
+    assert WordSet("01", ("0", "0")).words == ("0",)
+
+
+def test_word_set_of_checks_its_words_once(monkeypatch):
+    from frobword import automata
+
+    calls, real = [], automata._check_words
+
+    def counted(words, alphabet):
+        calls.append(words)
+        return real(words, alphabet)
+
+    for module in (automata, starlang):
+        monkeypatch.setattr(module, "_check_words", counted)
+    WordSet.of("01", ["1", "0", "1"])
+    assert len(calls) == 1
+
+
+@given(st.lists(st.text(alphabet="01", min_size=1, max_size=3), min_size=1, max_size=5), st.randoms())
+def test_word_set_is_canonical_however_its_words_come_in(words, rng):
+    shuffled = words + words
+    rng.shuffle(shuffled)
+    s = WordSet("01", shuffled)
+    assert s == WordSet.of("01", words) and hash(s) == hash(WordSet.of("01", words))
+    assert s.words == tuple(sorted(set(words), key=lambda w: (len(w), w)))
 
 
 def test_member_star_known():
@@ -499,6 +529,7 @@ def test_each_input_rule_is_spelled_in_one_function():
             "automata._at_least",
             "automata._integer",
         },
+        r"at least one word|words must be nonempty|empty chains|not meaningful": {"automata._check_generators"},
     }
     strings = []  # (innermost enclosing definition, string), docstrings aside
 
@@ -833,6 +864,22 @@ TWO_LENGTH_CALLS = (
     lambda mn: two_length_family(*mn),
     lambda mn: two_length_cofinite(WordSet.of("01", ["00", "000"]), *mn),
 )
+# every entry that takes a list of words, and every one that takes a pair
+LIST_CALLS = (
+    lambda ws: WordSet("01", ws),
+    lambda ws: chain_nfa(ws, "01"),
+    lambda ws: chain_cofinite(ws, "01"),
+    lambda ws: member_chain(ws, "0"),
+    lambda ws: measure_all(WordSet.of("01", ["0"]), ws),
+    prefix_suffix_condition,
+)
+PAIR_CALLS = (
+    lambda ws: commutes(*ws),
+    lambda ws: common_root(*ws),
+    lambda ws: fine_wilf_agreement(*ws),
+    lambda ws: predicted_pair_star_sc(*ws),
+    lambda ws: predicted_pair_concat_sc(*ws),
+)
 ORDER = "lengths must satisfy 0 < short < long < 2*short"
 STAR_BLOWUP_CALLS = (star_blowup_family, star_blowup_sc, star_blowup_sc_floor)
 WORD_CALLS = (
@@ -866,6 +913,8 @@ SIZE_CALLS = {
         lambda c: measure_all(UNARY, state_cap=c),
         lambda c: measure_all(UNARY, star=False, state_cap=c),
         lambda c: two_length_cofinite(two_length_family(2, 3).words, 2, 3, budget=c),
+        lambda c: measure_all(UNARY, star=False, chain=False, state_cap=c),
+        lambda c: two_length_cofinite(WordSet.of("01", ["00", "000"]), 2, 3, budget=c),
     ),
     ("count", 1): (suite_unary, suite_chain_cofinite, suite_bounds),
     ("max_len", 2): (lambda c: suite_pairs(max_len=c),),
@@ -893,8 +942,8 @@ UNBOUNDED_CALLS = (lambda c: base_repr(c, 2, 2), lambda c: Nfa.from_edges(c, "01
 @pytest.mark.parametrize(
     "calls, arg, error, message",
     [
-        (CHAIN_CALLS, [], ValueError, "empty chains are not meaningful"),
-        (CHAIN_CALLS, ["0", ""], ValueError, "chain words must be nonempty"),
+        (CHAIN_CALLS, [], ValueError, "at least one word is required"),
+        (CHAIN_CALLS, ["0", ""], ValueError, "words must be nonempty"),
         (TWO_LENGTH_CALLS, (3, 7), PreconditionViolated, ORDER),
         (TWO_LENGTH_CALLS, (2, 4), PreconditionViolated, ORDER),
         (TWO_LENGTH_CALLS, (4, 6), PreconditionViolated, "the two lengths must be coprime"),
@@ -912,6 +961,14 @@ UNBOUNDED_CALLS = (lambda c: base_repr(c, 2, 2), lambda c: Nfa.from_edges(c, "01
             (calls, least - 1, PreconditionViolated, "%s must be at least %d, got %d" % (name, least, least - 1))
             for (name, least), calls in SIZE_CALLS.items()
         ],
+        (LIST_CALLS + (lambda ws: WordSet.of("01", ws),), [], ValueError, "at least one word is required"),
+        (LIST_CALLS + PAIR_CALLS, ["0", ""], ValueError, "words must be nonempty"),
+        (
+            LIST_CALLS + PAIR_CALLS + (lambda ws: WordSet.of("01", ws), lambda ws: member_chain(["0"], ws[0])),
+            [5, "0"],
+            ValueError,
+            "word 5 is not a string",
+        ),
     ],
 )
 def test_each_input_rule_raises_the_same_error_everywhere(calls, arg, error, message):
@@ -925,6 +982,8 @@ def test_each_input_rule_raises_the_same_error_everywhere(calls, arg, error, mes
     "call, error, message",
     [
         (lambda: WordSet.of("01", []), ValueError, "at least one word is required"),
+        (lambda: commutes(["0"], ["1"]), ValueError, "word ['0'] is not a string"),
+        (lambda: fine_wilf_agreement(["0"], ["1"]), ValueError, "word ['0'] is not a string"),
         (lambda: chain_nfa(["2"], "01"), ValueError, "word '2' uses characters 2 not in alphabet '01'"),
         (
             lambda: two_length_cofinite(WordSet.of("01", ["0", "000", "00000"]), 3, 5),

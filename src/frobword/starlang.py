@@ -348,22 +348,23 @@ class MeasureReport:
     chain_dfa: Dfa | None = field(default=None, compare=False, repr=False)
 
 
-def _beside(fn, work, fork: bool):
-    """``(work(), fn())``, with the answers and errors of ``fn`` first.
-    ``fork`` is the caller's verdict that a child pays; with it, and where
-    it can (``os.fork``, no other thread alive, the pipe and the fork
-    succeed), ``fn`` runs in a forked child beside ``work``, else here,
-    before ``work``.  The child writes its answer as JSON (so a tuple comes
-    back as a list), or ``!`` and the message of a ``CapExceeded``, to a
-    pipe, and exits 0 without unwinding or flushing once all of it is
-    written; on any other path it exits 1.  The pipe is read to its end,
-    closed, and the child reaped.  The child's cap message is raised, and
-    wins over a ``CapExceeded`` or ``MemoryError`` from ``work``; any other
-    error of ``work``, or an interrupted read, kills the child first.  A
-    child that did not exit 0 gave no answer: ``fn`` runs again here if
-    ``work`` succeeded."""
+def _halves(fn, items: Sequence, fork: bool = True) -> list:
+    """``[fn(x) for x in items]``, with the answers and errors of the items
+    at odd places first.  ``fork`` is the caller's verdict that a child
+    pays; with it, two items or more, and where it can (``os.fork``, no
+    other thread alive, the pipe and the fork succeed), the odd items run in
+    a forked child beside the rest, else here, before the rest.  The child
+    writes their answers as one JSON list (so a tuple comes back as a list),
+    or ``!`` and the message of a ``CapExceeded``, to a pipe, and exits 0
+    without unwinding or flushing once all of it is written; on any other
+    path it exits 1.  The pipe is read to its end, closed, and the child
+    reaped.  The child's cap message is raised, and wins over a
+    ``CapExceeded`` or ``MemoryError`` here; any other error here, or an
+    interrupted read, kills the child first.  A child that did not exit 0
+    gave no answer: the odd items run again here if the rest succeeded."""
+    out, odd, even = [None] * len(items), items[1::2], items[0::2]
     pid = -1
-    if fork and hasattr(os, "fork") and threading.active_count() == 1:
+    if fork and len(items) > 1 and hasattr(os, "fork") and threading.active_count() == 1:
         try:
             r, w = os.pipe()
             try:
@@ -373,13 +374,14 @@ def _beside(fn, work, fork: bool):
                 os.close(w)
         except OSError:
             pass
-    if pid < 0:  # no child: ``fn`` first, so its errors come first
-        answer = fn()
-        return work(), answer
+    if pid < 0:  # no child: the odd items first, so their errors come first
+        out[1::2] = [fn(x) for x in odd]
+        out[0::2] = [fn(x) for x in even]
+        return out
     if pid == 0:  # the child answers, then exits
         try:
             try:
-                reply = json.dumps(fn())
+                reply = json.dumps([fn(x) for x in odd])
             except CapExceeded as exc:
                 reply = "!%s" % exc
             data = reply.encode()
@@ -392,13 +394,13 @@ def _beside(fn, work, fork: bool):
     reply = failed = None
     try:
         try:
-            done = work()
+            out[0::2] = [fn(x) for x in even]
         except (CapExceeded, MemoryError) as exc:
             failed = exc
         reply = b"".join(iter(lambda: os.read(r, 65536), b"")).decode()
     finally:
         os.close(r)
-        if reply is None:  # work failed otherwise, or the read was interrupted
+        if reply is None:  # failed otherwise here, or the read was interrupted
             import signal  # not loaded at start-up, and needed only here
 
             os.kill(pid, signal.SIGKILL)
@@ -407,17 +409,7 @@ def _beside(fn, work, fork: bool):
         raise CapExceeded(reply[1:])
     if failed:
         raise failed
-    return done, fn() if status else json.loads(reply)
-
-
-def _halves(fn, items: Sequence) -> list:
-    """``[fn(x) for x in items]``.  The items at odd places run ``_beside``
-    the rest, whose child pays when there is one, and the two halves are
-    merged in order."""
-    out = [None] * len(items)
-    out[0::2], out[1::2] = _beside(
-        lambda: list(map(fn, items[1::2])), lambda: list(map(fn, items[0::2])), len(items) > 1
-    )
+    out[1::2] = [fn(x) for x in odd] if status else json.loads(reply)
     return out
 
 
@@ -436,13 +428,14 @@ def measure_all(
 
     The window states are counted and reported as ``window_dfa_states``; no
     window acceptor is built.  The number of windows is checked before
-    anything starts; the count then runs ``_beside`` the star side's
-    construction, whose child pays from ``_FORK_WINDOWS`` windows up.  Each
-    side is built as ``minimal_star_dfa`` and ``minimal_chain_dfa`` build
-    it, and every omission measure is read off its minimal DFA with
-    ``_omissions``: a side is the full language when it omits no word, and
-    the chain's co-finiteness is its automaton's verdict (``chain_cofinite``
-    is the prediction ``verify chain-cofinite`` checks against it).
+    anything starts; the count and the star side's construction are then
+    split by ``_halves``, whose child pays from ``_FORK_WINDOWS`` windows
+    up.  Each side is built as ``minimal_star_dfa`` and
+    ``minimal_chain_dfa`` build it, and every omission measure is read off
+    its minimal DFA with ``_omissions``: a side is the full language when
+    it omits no word, and the chain's co-finiteness is its automaton's
+    verdict (``chain_cofinite`` is the prediction ``verify chain-cofinite``
+    checks against it).
     The state cap is checked first, whichever sides run.  ``xs_order``
     fixes the order of the chain of stars and may repeat words; it passes
     the list rule, then must use exactly the words of the set.  It defaults
@@ -458,9 +451,9 @@ def measure_all(
     star_min = window_states = chain_min = None
     if star:
         first, _ = _window_numbering(len(s.alphabet), s.max_word_length, state_cap)
-        star_min, window_states = _beside(
-            lambda: len(_window_search(s, state_cap)[0]),
-            lambda: minimal_star_dfa(s, state_cap),
+        star_min, window_states = _halves(
+            lambda job: job(),
+            [lambda: minimal_star_dfa(s, state_cap), lambda: len(_window_search(s, state_cap)[0])],
             first[-1] >= _FORK_WINDOWS,
         )
     if chain:

@@ -14,6 +14,7 @@ import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from math import gcd
 
 from frobword.automata import (
@@ -163,7 +164,7 @@ def suite_unary(count: int = 50, seed: int = DEFAULT_SEED) -> SuiteReport:
     quotients contain 1 are resampled: their closure is just a cycle and
     the closed form does not apply (they are covered by the degenerate law
     in the unit tests).  A ``count`` below 1 or above the tuples left raises
-    ``PreconditionViolated``.  The tuples are drawn first, then sized by
+    ``PreconditionViolated``.  The tuples are drawn first, then split by
     ``_halves``.
     """
     def drawn(tup: tuple[int, ...]) -> bool:  # no quotient is 1
@@ -258,12 +259,11 @@ def suite_pairs(max_len: int = 6, agreement_total: int = 14) -> SuiteReport:
     report = SuiteReport("pairs")
     words = [w for n in range(1, max_len + 1) for w in _binary(n)]
 
-    def run(task: tuple) -> int | tuple[int, list]:
-        if len(task) == 3:  # an orbit's pair: the size of its automaton
-            w, x, star = task
-            nfa = trie_star_nfa(WordSet.of("01", {w, x})) if star else chain_nfa([w, x], "01")
-            return state_complexity(determinize(nfa))
-        total, la = task  # an agreement group: pairs checked, then violation rows
+    def size(w: str, x: str, star: bool) -> int:  # an orbit's pair: the size of its automaton
+        nfa = trie_star_nfa(WordSet.of("01", {w, x})) if star else chain_nfa([w, x], "01")
+        return state_complexity(determinize(nfa))
+
+    def agreement(total: int, la: int) -> tuple[int, list]:  # a group: pairs checked, then violation rows
         bound, checked, rows = total - gcd(la, total - la) - 1, 0, []
         for w, x in itertools.product(_binary(la), _binary(total - la)):
             agr = fine_wilf_agreement(w, x)
@@ -284,7 +284,8 @@ def suite_pairs(max_len: int = 6, agreement_total: int = 14) -> SuiteReport:
     keys = [orbit(w, x, True) for w, x in stars] + [orbit(w, x, False) for w, x in concats]
     reps = list(dict.fromkeys(keys))
     groups = [(total, la) for total in range(2, agreement_total + 1) for la in range(1, total)]
-    out = _halves(run, reps + groups)
+    jobs = [partial(size, *rep) for rep in reps] + [partial(agreement, *group) for group in groups]
+    out = _halves(lambda job: job(), jobs)
     sizes = list(map(dict(zip(reps, out)).get, keys))
     _pair_law(report, "star", "{%s,%s}", stars, predicted_pair_star_sc, sizes[: len(stars)])
     _pair_law(report, "concat", "%s* %s*", concats, predicted_pair_concat_sc, sizes[len(stars) :])
@@ -401,7 +402,7 @@ def suite_chain_cofinite(count: int = 100, seed: int = DEFAULT_SEED) -> SuiteRep
     """Chain-of-stars co-finiteness: the closed-form criterion
     ``chain_cofinite`` versus the automaton's verdict, the one ``measure``
     reports, over random one-letter and two-letter instances with mixed
-    length gcds.  The instances are drawn first, then decided by
+    length gcds.  The instances are drawn first, then split by
     ``_halves``; a cap hit is its instance's row."""
     _at_least(count, 1, "count")
     report = SuiteReport("chain-cofinite")
@@ -497,7 +498,7 @@ def suite_bounds(count: int = 200, seed: int = DEFAULT_SEED) -> SuiteReport:
     off the minimized window acceptor, so the route stays independent.
     Each law is one ``check``: a violation adds a row named after the law
     and the instance, and one summary row per law gives the counts.  The
-    chain orders are drawn first; the sets are then checked by ``_halves``
+    chain orders are drawn first; the sets are then split by ``_halves``
     and their results replayed in corpus order.
     """
     _at_least(count, 1, "count")

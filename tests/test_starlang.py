@@ -439,6 +439,53 @@ def test_renaming_the_letters_changes_no_measure(case):
         assert fine_wilf_agreement(w.translate(rename), x.translate(rename)) == fine_wilf_agreement(w, x)
 
 
+@st.composite
+def law_sets(draw):
+    """Up to 6 words on ``0``, ``01`` or ``012``, with 1-2 powers of each
+    letter added on about half the draws, and a chain order of the set."""
+    alphabet = draw(st.sampled_from(["0", "01", "012"]))
+    words = draw(st.lists(st.text(alphabet, min_size=1, max_size=5), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        words += [a * n for a in alphabet for n in draw(st.lists(st.integers(2, 5), min_size=1, max_size=2))]
+    s = WordSet.of(alphabet, words)
+    return s, draw(st.permutations(s.words))
+
+
+@settings(max_examples=200)
+@given(law_sets())
+def test_the_measures_keep_the_laws_that_tie_them(case):
+    # pumping: on a co-finite side the longest omitted word's path through the
+    # minimal DFA repeats no state.  Projections: S* maps onto the amounts the
+    # word lengths reach, and a^k is in S* exactly when the lengths of a's
+    # powers reach k, so every amount either misses is missed by omitted
+    # words.  Chain inside star: the chain's language is a subset of S*
+    s, order = case
+    r = measure_all(s, order)
+    sigma, lengths = len(s.alphabet), sorted({len(w) for w in s.words})
+    powers = [sorted({len(w) for w in s.words if set(w) == {a}}) for a in s.alphabet]
+    if r.cofinite_star:
+        assert gcd(*lengths) == 1
+        assert all(p and gcd(*p) == 1 for p in powers)
+        if r.full_language:
+            assert frobenius_g(lengths) == 0
+        else:
+            big_l, m = r.longest_omitted, r.omitted_count
+            assert big_l <= r.star_sc - 1
+            assert m <= sum(sigma**k for k in range(1, big_l + 1))
+            assert big_l >= max(frobenius_g(p) for p in [lengths] + powers)
+            gaps = [k for k in range(1, big_l + 1) if not representable(k, lengths)]
+            # a^k for each letter a and each gap k of its powers that is no length gap
+            letter_gaps = [k for p in powers for k in range(1, big_l + 1) if k not in gaps and not representable(k, p)]
+            assert m >= sum(sigma**k for k in gaps) + len(letter_gaps)
+    if r.chain_is_cofinite:
+        assert r.cofinite_star
+        assert r.full_language or not r.chain_full_language
+        if not r.chain_full_language:
+            assert r.chain_longest_omitted <= r.chain_sc - 1
+            if not r.full_language:
+                assert r.chain_longest_omitted >= r.longest_omitted
+
+
 def test_measure_all_toggles():
     s = WordSet.of("0", ["00", "000"])
     r = measure_all(s, star=False)
@@ -506,7 +553,7 @@ def test_measure_all_counts_the_windows_in_a_child(monkeypatch):
 
 
 def test_one_function_forks_pipes_and_reaps():
-    # every child, measure's and the verify suites', runs through _beside
+    # every child, measure's and the verify suites', runs through _halves
     callers = set()
     for path in sorted(Path(starlang.__file__).parent.glob("*.py")):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -514,7 +561,7 @@ def test_one_function_forks_pipes_and_reaps():
                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "os":
                     if node.attr in ("fork", "pipe", "waitpid"):
                         callers.add("%s.%s" % (path.stem, getattr(top, "name", "<module>")))
-    assert callers == {"starlang._beside"}
+    assert callers == {"starlang._halves"}
 
 
 def test_each_input_rule_is_spelled_in_one_function():
@@ -624,16 +671,17 @@ ANSWERS = {  # what ``fn`` answers for ``x``; the str case keeps the bare ids
     "false": lambda x: False,
 }
 HALVES = [
-    pytest.param(n, children, answer, id="%d-%d%s" % (n, children, "" if answer == "str" else "-" + answer))
+    pytest.param(n, children, answer, True, id="%d-%d%s" % (n, children, "" if answer == "str" else "-" + answer))
     for answer in ANSWERS
     for n, children in [(0, 0), (1, 0), (2, 1), (3, 1)]
-]
+] + [pytest.param(n, 0, "str", False, id="%d-0-no-fork" % n) for n in range(4)]
 
 
-@pytest.mark.parametrize("n, children, answer", HALVES)
-def test_halves_starts_a_child_only_for_an_item_at_an_odd_place(monkeypatch, n, children, answer):
+@pytest.mark.parametrize("n, children, answer, fork", HALVES)
+def test_halves_starts_a_child_only_for_an_item_at_an_odd_place(monkeypatch, n, children, answer, fork):
     # every answer, a falsy one too, comes back from the child as itself, and
-    # this process works out only the items at even places
+    # this process works out only the items at even places; with no child it
+    # works out the items at odd places first
     forks, fn, me, here = counting_forks(monkeypatch), ANSWERS[answer], os.getpid(), []
 
     def traced(x):
@@ -643,9 +691,10 @@ def test_halves_starts_a_child_only_for_an_item_at_an_odd_place(monkeypatch, n, 
 
     items = list(range(5, 5 + n))
     with leaves_nothing_behind():
-        assert starlang._halves(traced, items) == [fn(x) for x in items]
+        answers = starlang._halves(traced, items) if fork else starlang._halves(traced, items, False)
+    assert answers == [fn(x) for x in items]
     assert len(forks) == children
-    assert here == items[0::2]
+    assert here == (items[0::2] if children else items[1::2] + items[0::2])
 
 
 @pytest.mark.parametrize("fallback", [_fork_fails, _pipe_fails, _no_fork, _silent_child, _killed_mid_write])
